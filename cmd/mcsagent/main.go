@@ -75,11 +75,11 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	client := platform.NewClientWithConfig(*url, platform.ClientConfig{
+	client := platform.NewClient(*url, platform.WithConfig(platform.ClientConfig{
 		MaxRetries:       *retries,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-	})
+	}))
 	if *watch {
 		return runWatch(ctx, client)
 	}

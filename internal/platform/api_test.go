@@ -225,12 +225,12 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     3,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  5 * time.Millisecond,
-	})
+	}))
 	tasks, err := client.Tasks(context.Background())
 	if err != nil {
 		t.Fatalf("flaky server not absorbed: %v", err)
@@ -251,12 +251,12 @@ func TestClientGivesUpAfterRetryBudget(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  5 * time.Millisecond,
-	})
+	}))
 	_, err := client.Tasks(context.Background())
 	if err == nil {
 		t.Fatal("persistent 503 must eventually fail")
@@ -281,11 +281,11 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     5,
 		RetryBaseDelay: time.Millisecond,
-	})
+	}))
 	err := client.Submit(context.Background(), SubmissionRequest{Account: "a", Task: 9, Value: 1})
 	if !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("err = %v", err)
@@ -303,11 +303,11 @@ func TestClientRetriesConnectionErrors(t *testing.T) {
 	url := srv.URL
 	srv.Close()
 
-	client := NewClientWithConfig(url, ClientConfig{
+	client := NewClient(url, WithConfig(ClientConfig{
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  2 * time.Millisecond,
-	})
+	}))
 	start := time.Now()
 	_, err := client.Tasks(context.Background())
 	if err == nil {

@@ -120,7 +120,7 @@ func TestBreakerStateString(t *testing.T) {
 }
 
 func TestClientWithoutBreakerReportsClosed(t *testing.T) {
-	c := NewClientWithConfig("http://localhost:0", ClientConfig{})
+	c := NewClient("http://localhost:0", WithConfig(ClientConfig{}))
 	if got := c.BreakerState(); got != BreakerClosed {
 		t.Fatalf("state = %v", got)
 	}

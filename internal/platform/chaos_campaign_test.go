@@ -76,12 +76,12 @@ func TestChaosCampaignZeroAckedLoss(t *testing.T) {
 			defer wg.Done()
 			// One client per account, like real agents; generous retry
 			// budget because the fault rates are high by design.
-			client := NewClientWithConfig(srv.URL, ClientConfig{
+			client := NewClient(srv.URL, WithConfig(ClientConfig{
 				HTTPClient:     &http.Client{Transport: faulty},
 				MaxRetries:     6,
 				RetryBaseDelay: time.Millisecond,
 				RetryMaxDelay:  20 * time.Millisecond,
-			})
+			}))
 			account := fmt.Sprintf("acct-%d", a)
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
@@ -113,12 +113,12 @@ func TestChaosCampaignZeroAckedLoss(t *testing.T) {
 
 	// Aggregation still answers through the faults (retries absorb torn
 	// bodies; the injector never sees the platform's own shed responses).
-	aggClient := NewClientWithConfig(srv.URL, ClientConfig{
+	aggClient := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     &http.Client{Transport: faulty},
 		MaxRetries:     8,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  20 * time.Millisecond,
-	})
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if _, err := aggClient.Aggregate(ctx, "td-ts"); err != nil {
@@ -227,12 +227,12 @@ func TestChaosBatchedCampaignZeroAckedLoss(t *testing.T) {
 		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
-			client := NewClientWithConfig(srv.URL, ClientConfig{
+			client := NewClient(srv.URL, WithConfig(ClientConfig{
 				HTTPClient:     &http.Client{Transport: faulty},
 				MaxRetries:     6,
 				RetryBaseDelay: time.Millisecond,
 				RetryMaxDelay:  20 * time.Millisecond,
-			})
+			}))
 			account := fmt.Sprintf("bacct-%d", a)
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
@@ -321,12 +321,12 @@ func TestChaosOutageOpensBreakerThenHeals(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	faulty := chaos.NewTransport(srv.Client().Transport, chaos.Plan{})
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:       &http.Client{Transport: faulty},
 		MaxRetries:       0,
 		BreakerThreshold: 3,
 		BreakerCooldown:  20 * time.Millisecond,
-	})
+	}))
 	ctx := context.Background()
 
 	// Healthy baseline.
@@ -376,12 +376,12 @@ func TestChaosMiddlewareAgainstRealServer(t *testing.T) {
 	}.Middleware(inner))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     8,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  10 * time.Millisecond,
-	})
+	}))
 	ctx := context.Background()
 	okCount := 0
 	for i := 0; i < 10; i++ {

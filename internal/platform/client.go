@@ -189,28 +189,17 @@ func NewClient(endpoint string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(&set)
 	}
-	return newClient(set.endpoints, set.cfg)
-}
-
-// NewClientWithConfig targets baseURL with explicit retry/transport
-// configuration. It is the pre-options constructor, kept as a thin shim
-// over NewClient(baseURL, WithConfig(cfg)).
-func NewClientWithConfig(baseURL string, cfg ClientConfig) *Client {
-	return newClient([]string{baseURL}, cfg)
-}
-
-func newClient(endpoints []string, cfg ClientConfig) *Client {
-	bases := make([]string, len(endpoints))
-	for i, e := range endpoints {
+	bases := make([]string, len(set.endpoints))
+	for i, e := range set.endpoints {
 		bases[i] = strings.TrimRight(e, "/")
 	}
 	c := &Client{
 		bases: bases,
-		cfg:   cfg.withDefaults(),
+		cfg:   set.cfg.withDefaults(),
 		rng:   rand.New(rand.NewSource(jitterSeed())),
 	}
-	if cfg.BreakerThreshold > 0 {
-		c.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	if set.cfg.BreakerThreshold > 0 {
+		c.breaker = newBreaker(set.cfg.BreakerThreshold, set.cfg.BreakerCooldown)
 	}
 	return c
 }
@@ -457,7 +446,7 @@ func (c *Client) Fence(ctx context.Context, req FenceRequest) (FenceResponse, er
 
 // PurgeFenced tells a node to drop the data of every account fenced at or
 // below the given ring version, keeping the fence — the post-migration GC
-// (see FencePurger). Idempotent: a repeat purge finds nothing to drop.
+// (see Fencer.PurgeFenced). Idempotent: a repeat purge finds nothing to drop.
 func (c *Client) PurgeFenced(ctx context.Context, req PurgeRequest) (PurgeResponse, error) {
 	var out PurgeResponse
 	err := c.do(ctx, http.MethodPost, "/v1/admin/purge", req, &out)

@@ -82,11 +82,11 @@ func TestClientRetryReusesConnections(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		MaxRetries:     3,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  2 * time.Millisecond,
-	})
+	}))
 	tasks, err := client.Tasks(context.Background())
 	if err != nil {
 		t.Fatalf("retry sequence failed: %v", err)
@@ -117,11 +117,11 @@ func TestClientDrainBoundedOnHugeBody(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 1}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
-	})
+	}))
 	start := time.Now()
 	if _, err := client.Tasks(context.Background()); err != nil {
 		t.Fatalf("retry after huge error body failed: %v", err)

@@ -36,7 +36,8 @@ const (
 	// promoted follower refuses the same writes its dead primary did.
 	opFence = "fence"
 	// opUnfencePurge drops the data of every account fenced at or below
-	// the record's ring version — the post-migration GC (see FencePurger).
+	// the record's ring version — the post-migration GC (see
+	// Fencer.PurgeFenced).
 	// The fence map and fence-version watermark survive the purge, so the
 	// shard keeps answering wrong_shard to stale writers; only the moved
 	// observations and fingerprints are released. Journaled and shipped
@@ -89,24 +90,22 @@ type DurableOptions struct {
 	// SnapshotEvery compacts the WAL into a fresh snapshot after this
 	// many appended records; 0 snapshots only at Close.
 	SnapshotEvery int
-	// CommitLinger enables group commit when positive: instead of one
-	// fsync per mutation under the store lock, mutations are journaled
-	// (buffered) and applied under the lock, and the fsync that
-	// acknowledges them runs outside it, coalescing every record appended
-	// in the meantime into one sync. The leader of an fsync round waits up
-	// to CommitLinger for more records to join (ending early once
-	// CommitMaxBatch have accumulated), so the linger bounds the extra ack
-	// latency a lone submitter pays. Zero keeps the original
-	// one-fsync-per-record behavior.
+	// CommitLinger bounds how long a group commit waits for company. Every
+	// mutation is journaled (buffered) and applied under the store lock,
+	// and the fsync that acknowledges it runs outside the lock, coalescing
+	// every record appended in the meantime into one sync. The leader of
+	// an fsync round waits up to CommitLinger for more records to join
+	// (ending early once CommitMaxBatch have accumulated), so the linger
+	// bounds the extra ack latency a lone submitter pays. Zero fsyncs as
+	// soon as a leader is free, still coalescing whatever queued behind
+	// the sync in flight.
 	//
-	// Group commit keeps the acknowledgment contract — an acknowledged
-	// mutation has been fsynced — but weakens read-your-unacked-writes
-	// isolation: a mutation is visible to reads between its apply and its
-	// group fsync. If that fsync fails, the caller gets ErrDurability (the
-	// op is NOT acknowledged) while the store keeps the applied state,
-	// which matches the log it was written to; a retry then reports
-	// ErrDuplicateReport, the same ambiguous-ack outcome a torn network
-	// ack already produces.
+	// An acknowledged mutation has been fsynced, but a mutation is visible
+	// to reads between its apply and its group fsync. If that fsync fails,
+	// the caller gets ErrDurability (the op is NOT acknowledged) while the
+	// store keeps the applied state, which matches the log it was written
+	// to; a retry then reports ErrDuplicateReport, the same ambiguous-ack
+	// outcome a torn network ack already produces.
 	CommitLinger time.Duration
 	// CommitMaxBatch caps how many records a group commit waits for
 	// before fsyncing without further linger; 0 means 64.
@@ -140,7 +139,8 @@ type RecoveryStats struct {
 // periodically compacts the log into snapshots. All methods that touch
 // the WAL run under the owning store's mutex: appendLocked and
 // maybeCompactLocked are called by the store with the lock held, and the
-// public Snapshot/Close take it themselves.
+// public Snapshot/Close take it themselves. The group fsync in
+// waitDurable runs outside it.
 type Durability struct {
 	dir           string
 	fs            wal.FS
@@ -149,7 +149,7 @@ type Durability struct {
 	seq           uint64 // sequence number of the last frame written
 	sinceSnapshot int
 	snapshotEvery int
-	gc            *groupCommit // nil: one fsync per record, inline
+	gc            *groupCommit
 	reg           *obs.Registry
 	log           *log.Logger
 	closed        bool
@@ -168,19 +168,17 @@ type Durability struct {
 	repl       *Replication
 }
 
-// commitToken identifies a journaled mutation. The store holds it across
-// the lock release and redeems it with waitDurable before acknowledging.
-// wait marks a group-commit token whose fsync is still pending; an
-// inline-fsync token is already durable but still carries its sequence
-// number so the replication layer can gate a semi-sync ack on it. epoch
-// is the replication epoch the record was appended under: the semi-sync
-// settle refuses to ack a token whose lineage has since changed (a
-// demotion's snapshot reset may have rolled the record back). The zero
-// token means "nothing journaled" (no journal at all).
+// commitToken identifies journaled mutations by the sequence number of
+// the last one. The store holds it across the lock release and redeems it
+// with waitDurable before acknowledging; the replication layer gates a
+// semi-sync ack on the same number. epoch is the replication epoch the
+// records were appended under: the semi-sync settle refuses to ack a
+// token whose lineage has since changed (a demotion's snapshot reset may
+// have rolled the records back). The zero token means "nothing
+// journaled".
 type commitToken struct {
 	seq   uint64
 	epoch uint64
-	wait  bool
 }
 
 // groupCommit coalesces concurrent WAL fsyncs. Appenders (holding the
@@ -371,7 +369,7 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 			stats.RecordsSkipped++ // snapshot already covers it
 			continue
 		}
-		if store.replayRecord(rec) {
+		if store.replayRecordLocked(rec) { // store not shared yet
 			stats.RecordsReplayed++
 		} else {
 			stats.RecordsSkipped++
@@ -398,10 +396,8 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 	} else {
 		d.walSeq0 = seq + 1
 	}
-	if opts.CommitLinger > 0 {
-		d.gc = newGroupCommit(opts.CommitLinger, opts.CommitMaxBatch)
-		d.gc.markDurable(seq) // everything recovered from disk is durable
-	}
+	d.gc = newGroupCommit(opts.CommitLinger, opts.CommitMaxBatch)
+	d.gc.markDurable(seq) // everything recovered from disk is durable
 	store.journal = d
 	reg.Gauge("wal.size_bytes").Set(w.Size())
 	reg.Gauge("wal.recovery_records_replayed").Set(int64(stats.RecordsReplayed))
@@ -453,20 +449,15 @@ func storeFromDataset(ds *mcs.Dataset) *LocalStore {
 	return s
 }
 
-// replayRecord applies one recovered WAL record. It tolerates records the
-// current state already contains — a crash between the snapshot rename
-// and the WAL reset leaves both holding the same operations — and
-// silently drops records that fail validation rather than refusing to
-// start. Returns whether state changed.
-func (s *LocalStore) replayRecord(rec walRecord) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replayRecordLocked(rec)
-}
-
-// replayRecordLocked is replayRecord with the store mutex already held —
-// the follower apply path journals and replays a shipped frame under one
-// critical section.
+// replayRecordLocked applies one WAL record. Every record reaches memory
+// through it: the client commit path and the follower apply path each
+// journal and apply records under one critical section, and recovery
+// replays the log through it before the store is shared. It tolerates
+// records the current state already contains — a crash between the
+// snapshot rename and the WAL reset leaves both holding the same
+// operations — and silently drops records that fail validation rather
+// than refusing to start. Returns whether state changed. Caller must hold
+// mu (or own the store before it is shared).
 func (s *LocalStore) replayRecordLocked(rec walRecord) bool {
 	switch rec.Op {
 	case opSubmit:
@@ -511,64 +502,18 @@ func (s *LocalStore) replayRecordLocked(rec walRecord) bool {
 	return false
 }
 
-// appendLocked journals one mutation. Called by the store with its mutex
-// held and the record fully validated, before the mutation is applied.
-// Without group commit the frame is fsynced inline and the returned token
-// is already settled; with group commit the frame is only buffered, and
-// the caller must redeem the token with waitDurable — after releasing the
-// store lock — before acknowledging. On error the store does not apply
-// the mutation.
-func (d *Durability) appendLocked(rec walRecord) (commitToken, error) {
+// appendLocked journals mutations as one buffered WAL write. Called by
+// the store with its mutex held and the records fully validated, before
+// they are applied. The frames are only buffered: the caller must redeem
+// the returned token with waitDurable — after releasing the store lock —
+// before acknowledging. All-or-nothing at the process level: a failed
+// write is repaired by the writer (no frame survives, no sequence number
+// is consumed), the whole call reports the error, and the store applies
+// nothing. On success every record has a sequence number and the token
+// covers the last one.
+func (d *Durability) appendLocked(recs []walRecord) (commitToken, error) {
 	if d.closed {
 		return commitToken{}, fmt.Errorf("%w: durability closed", ErrDurability)
-	}
-	rec.Seq = d.seq + 1
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return commitToken{}, fmt.Errorf("%w: encode: %v", ErrDurability, err)
-	}
-	sw := d.reg.Timer("wal.append_seconds").Start()
-	off := d.w.Size()
-	err = d.w.Append(payload)
-	sw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: append: %v", ErrDurability, err)
-	}
-	// The frame is on the log from here (even if the fsync may later fail
-	// it can survive), so the sequence number is consumed either way.
-	d.seq++
-	d.walOffsets = append(d.walOffsets, off)
-	if d.gc != nil {
-		d.noteAppendedLocked(1)
-		return commitToken{seq: d.seq, epoch: d.epoch, wait: true}, nil
-	}
-	fw := d.reg.Timer("wal.fsync_seconds").Start()
-	err = d.w.Sync()
-	fw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: fsync: %v", ErrDurability, err)
-	}
-	d.sinceSnapshot++
-	d.reg.Counter("wal.records").Inc()
-	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
-	d.notifyDurable()
-	return commitToken{seq: d.seq, epoch: d.epoch}, nil
-}
-
-// appendBatchLocked journals several mutations as one buffered WAL write.
-// All-or-nothing at the process level: a failed write is repaired by the
-// writer (no frame survives, no sequence number is consumed) and the
-// whole batch reports the error. On success every record has a sequence
-// number; the returned token covers the last one, so redeeming it makes
-// the whole batch durable.
-func (d *Durability) appendBatchLocked(recs []walRecord) (commitToken, error) {
-	if d.closed {
-		return commitToken{}, fmt.Errorf("%w: durability closed", ErrDurability)
-	}
-	if len(recs) == 0 {
-		return commitToken{}, nil
 	}
 	payloads := make([][]byte, len(recs))
 	for i := range recs {
@@ -585,40 +530,19 @@ func (d *Durability) appendBatchLocked(recs []walRecord) (commitToken, error) {
 	sw.Stop()
 	if err != nil {
 		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: append batch: %v", ErrDurability, err)
+		return commitToken{}, fmt.Errorf("%w: append: %v", ErrDurability, err)
 	}
 	d.seq += uint64(len(recs))
 	for _, p := range payloads {
 		d.walOffsets = append(d.walOffsets, off)
 		off += wal.HeaderSize + int64(len(p))
 	}
-	d.reg.Histogram("wal.batch_size").Observe(float64(len(recs)))
-	if d.gc != nil {
-		d.noteAppendedLocked(len(recs))
-		return commitToken{seq: d.seq, epoch: d.epoch, wait: true}, nil
-	}
-	fw := d.reg.Timer("wal.fsync_seconds").Start()
-	err = d.w.Sync()
-	fw.Stop()
-	if err != nil {
-		d.reg.Counter("wal.append_errors").Inc()
-		return commitToken{}, fmt.Errorf("%w: fsync: %v", ErrDurability, err)
-	}
 	d.sinceSnapshot += len(recs)
+	d.reg.Histogram("wal.batch_size").Observe(float64(len(recs)))
 	d.reg.Counter("wal.records").Add(int64(len(recs)))
 	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
-	d.notifyDurable()
-	return commitToken{seq: d.seq, epoch: d.epoch}, nil
-}
-
-// noteAppendedLocked publishes the latest buffered sequence number to the
-// group-commit layer and settles the bookkeeping that the inline-fsync
-// path does after its sync. Called with the store mutex held.
-func (d *Durability) noteAppendedLocked(n int) {
-	d.sinceSnapshot += n
-	d.reg.Counter("wal.records").Add(int64(n))
-	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
 	d.gc.noteAppended(d.seq)
+	return commitToken{seq: d.seq, epoch: d.epoch}, nil
 }
 
 // waitDurable redeems a commit token: it returns once the token's record
@@ -626,9 +550,6 @@ func (d *Durability) noteAppendedLocked(n int) {
 // Must be called WITHOUT the store mutex — the whole point is that the
 // fsync happens outside the lock, coalescing with concurrent appenders.
 func (d *Durability) waitDurable(tok commitToken) error {
-	if !tok.wait || d.gc == nil {
-		return nil
-	}
 	err := d.gc.wait(tok.seq, func() error {
 		fw := d.reg.Timer("wal.fsync_seconds").Start()
 		defer fw.Stop()
@@ -715,12 +636,10 @@ func (d *Durability) snapshotLocked() error {
 	d.sinceSnapshot = 0
 	d.walSeq0 = d.seq + 1
 	d.walOffsets = d.walOffsets[:0]
-	if d.gc != nil {
-		// The snapshot holds the full state through d.seq on stable
-		// storage, so every record appended so far is durable — release
-		// any group-commit waiters without an extra WAL fsync.
-		d.gc.markDurable(d.seq)
-	}
+	// The snapshot holds the full state through d.seq on stable storage,
+	// so every record appended so far is durable — release any
+	// group-commit waiters without an extra WAL fsync.
+	d.gc.markDurable(d.seq)
 	d.reg.Counter("wal.snapshots").Inc()
 	d.reg.Gauge("wal.size_bytes").Set(0)
 	d.logf("durability: snapshot written (seq %d, epoch %d)", d.seq, d.epoch)
@@ -792,34 +711,21 @@ func (d *Durability) logf(format string, args ...any) {
 // group's history is persisted in the snapshot envelope.
 
 // notifyDurable pokes the replication shippers after durable progress
-// (inline fsync, settled group commit, or snapshot). Cheap and
-// non-blocking; safe with or without the store mutex held.
+// (a settled group commit or a snapshot). Cheap and non-blocking; safe
+// with or without the store mutex held.
 func (d *Durability) notifyDurable() {
 	if d.repl != nil {
 		d.repl.pokeShippers()
 	}
 }
 
-// durableSeq returns the highest sequence number known durable.
+// durableSeq returns the highest sequence number known durable. It takes
+// only the group-commit mutex, a leaf lock, so it is safe with or without
+// the store mutex held.
 func (d *Durability) durableSeq() uint64 {
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		defer d.gc.mu.Unlock()
-		return d.gc.synced
-	}
-	d.store.mu.RLock()
-	defer d.store.mu.RUnlock()
-	return d.seq
-}
-
-// durableSeqLocked is durableSeq with the store mutex already held.
-func (d *Durability) durableSeqLocked() uint64 {
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		defer d.gc.mu.Unlock()
-		return d.gc.synced
-	}
-	return d.seq
+	d.gc.mu.Lock()
+	defer d.gc.mu.Unlock()
+	return d.gc.synced
 }
 
 // Epoch returns the node's persisted replication epoch.
@@ -865,7 +771,7 @@ func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error
 			d.store.mu.Unlock()
 			return nil, false, fmt.Errorf("%w: durability closed", ErrDurability)
 		}
-		durable := d.durableSeqLocked()
+		durable := d.durableSeq()
 		if from >= durable {
 			d.store.mu.Unlock()
 			return nil, false, nil
@@ -930,13 +836,11 @@ func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error
 func (d *Durability) adoptSnapshotLocked(seq, epoch uint64) error {
 	d.seq = seq
 	d.epoch = epoch
-	if d.gc != nil {
-		d.gc.mu.Lock()
-		d.gc.synced = seq
-		d.gc.appended = seq
-		d.gc.cond.Broadcast()
-		d.gc.mu.Unlock()
-	}
+	d.gc.mu.Lock()
+	d.gc.synced = seq
+	d.gc.appended = seq
+	d.gc.cond.Broadcast()
+	d.gc.mu.Unlock()
 	return d.snapshotLocked()
 }
 
@@ -980,8 +884,6 @@ func (d *Durability) appendReplicatedLocked(frames []ReplFrame) error {
 	d.sinceSnapshot += len(frames)
 	d.reg.Counter("wal.records").Add(int64(len(frames)))
 	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())
-	if d.gc != nil {
-		d.gc.markDurable(d.seq)
-	}
+	d.gc.markDurable(d.seq)
 	return nil
 }

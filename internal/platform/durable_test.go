@@ -444,6 +444,7 @@ func TestFsyncFailureFailsClosed(t *testing.T) {
 	if err := applyOp(store, ops[5]); err != nil {
 		t.Fatalf("op after fsync recovery: %v", err)
 	}
+	live := signature(t, store)
 
 	store2, d2, _, err := OpenDurable(dir, testTasks(3), DurableOptions{})
 	if err != nil {
@@ -457,6 +458,12 @@ func TestFsyncFailureFailsClosed(t *testing.T) {
 	got := signature(t, store2)
 	if got != sigs[6] && got != sigs[5] {
 		t.Error("recovered state lost an acknowledged operation")
+	}
+	// Whichever it is, the live store must have served the same state: a
+	// record its WAL holds (and a restart recovers) must not be missing
+	// from memory, nor the reverse.
+	if got != live {
+		t.Error("recovered state differs from the live state before the restart")
 	}
 }
 

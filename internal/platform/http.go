@@ -137,7 +137,7 @@ type (
 	// PurgeRequest is the POST /v1/admin/purge body: the migration
 	// coordinator's (or an operator's) instruction to drop the data of
 	// every account fenced at or below the given ring version, keeping the
-	// fence itself (see FencePurger).
+	// fence itself (see Fencer.PurgeFenced).
 	PurgeRequest struct {
 		RingVersion uint64 `json:"ring_version"`
 	}
@@ -1165,12 +1165,12 @@ func (s *Server) handleFence(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, FenceResponse{Status: "fenced", FenceVersion: f.FenceVersion()})
 }
 
-// handlePurge drops fenced accounts' data (see FencePurger): the
+// handlePurge drops fenced accounts' data (see Fencer.PurgeFenced): the
 // post-migration GC the coordinator runs once a reshard is done, also
 // available to operators cleaning up after a coordinator that could not
 // reach this donor in time.
 func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.store.(FencePurger)
+	f, ok := s.store.(Fencer)
 	if !ok {
 		s.writeError(w, fmt.Errorf("%w: fence purging not served on this node", ErrUnimplemented))
 		return
@@ -1179,7 +1179,7 @@ func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	n, err := p.PurgeFenced(r.Context(), req.RingVersion)
+	n, err := f.PurgeFenced(r.Context(), req.RingVersion)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -1209,27 +1209,24 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, ReadyzResponse{Status: "overloaded"})
 		return
 	}
-	var ring RingStatus
-	if rr, ok := s.store.(RingStatusReporter); ok {
-		ring = rr.RingStatus()
-	}
-	if hr, ok := s.store.(HealthReporter); ok {
-		shards := hr.ShardHealth(r.Context())
-		resp := ReadyzResponse{Status: "ready", Shards: shards,
-			RingVersion: ring.Version, Migrating: ring.Migrating}
-		status := http.StatusOK
-		for _, sh := range shards {
-			if !sh.Ready {
-				resp.Status = "degraded"
-				status = http.StatusServiceUnavailable
-				break
-			}
-		}
-		s.writeJSON(w, status, resp)
+	hr, ok := s.store.(HealthReporter)
+	if !ok {
+		s.writeJSON(w, http.StatusOK, ReadyzResponse{Status: "ready"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ReadyzResponse{Status: "ready",
-		RingVersion: ring.Version, Migrating: ring.Migrating})
+	ring := hr.RingStatus()
+	shards := hr.ShardHealth(r.Context())
+	resp := ReadyzResponse{Status: "ready", Shards: shards,
+		RingVersion: ring.Version, Migrating: ring.Migrating}
+	status := http.StatusOK
+	for _, sh := range shards {
+		if !sh.Ready {
+			resp.Status = "degraded"
+			status = http.StatusServiceUnavailable
+			break
+		}
+	}
+	s.writeJSON(w, status, resp)
 }
 
 // handleMetricsJSON serves the registry snapshot as JSON: counters,

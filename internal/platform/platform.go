@@ -37,9 +37,9 @@ type LocalStore struct {
 	// aggregation-level defense runs.
 	maxAccounts int
 	// journal, when non-nil, makes every mutation durable: the operation
-	// is appended and fsynced to a write-ahead log before it is applied
-	// (and before the caller sees nil). A nil journal — the default — is
-	// the original purely in-memory store. Attached by OpenDurable.
+	// is appended to a write-ahead log before it is applied, and fsynced
+	// before the caller sees nil. A nil journal — the default — is the
+	// original purely in-memory store. Attached by OpenDurable.
 	journal *Durability
 	// repl, when non-nil, is the node's replication manager: writes are
 	// gated on holding the primary role, reads on the follower staleness
@@ -66,12 +66,10 @@ type LocalStore struct {
 	onSubmit SubmitListener
 }
 
-// LocalStore implements Store and the resharding Fencer and FencePurger
-// capabilities.
+// LocalStore implements Store and the resharding Fencer capability.
 var (
-	_ Store       = (*LocalStore)(nil)
-	_ Fencer      = (*LocalStore)(nil)
-	_ FencePurger = (*LocalStore)(nil)
+	_ Store  = (*LocalStore)(nil)
+	_ Fencer = (*LocalStore)(nil)
 )
 
 // SubmitListener observes acknowledged submissions. Items are only ever
@@ -206,10 +204,11 @@ func (e *WrongShardError) Error() string {
 func (e *WrongShardError) Is(target error) bool { return target == ErrWrongShard }
 
 // Fencer is the capability interface for online resharding: a store that
-// can durably refuse writes for accounts the ring has moved elsewhere.
-// LocalStore implements it; RemoteStore forwards it over the wire. The
-// sharded composite store does NOT implement it — fences are installed on
-// individual donor shards by the migration coordinator.
+// can durably refuse writes for accounts the ring has moved elsewhere,
+// and drop their data once the migration that moved them has durably
+// completed. LocalStore implements it; RemoteStore forwards it over the
+// wire. The sharded composite store does NOT implement it — fences are
+// installed on individual donor shards by the migration coordinator.
 type Fencer interface {
 	// Fence marks accounts as moved away as of ringVersion: every later
 	// mutation naming one of them — and every mutation stamped with a ring
@@ -220,20 +219,16 @@ type Fencer interface {
 	// FenceVersion returns the highest ring version this store has been
 	// fenced at (0 = never fenced).
 	FenceVersion() uint64
-}
-
-// FencePurger is the post-migration GC capability: a store that can drop
-// the data of accounts it fenced, once the migration that fenced them has
-// durably completed. Without it, a donor carries every moved account's
-// observations in memory — and in every snapshot — forever. The purge
-// keeps the fence map and the fence-version watermark: stale writers must
-// still get wrong_shard, because dropping the fence would let a
-// pre-flip-topology router silently re-create a moved account here.
-type FencePurger interface {
-	// PurgeFenced drops the stored data of every account fenced at or
-	// below ringVersion and returns how many accounts were purged. The
-	// purge is journaled and replicated like any write. Idempotent: a
-	// second purge at the same version finds nothing to drop.
+	// PurgeFenced is the post-migration GC: it drops the stored data of
+	// every account fenced at or below ringVersion and returns how many
+	// accounts were purged. Without it, a donor carries every moved
+	// account's observations in memory — and in every snapshot — forever.
+	// The purge keeps the fence map and the fence-version watermark:
+	// stale writers must still get wrong_shard, because dropping the
+	// fence would let a pre-flip-topology router silently re-create a
+	// moved account here. The purge is journaled and replicated like any
+	// write. Idempotent: a second purge at the same version finds nothing
+	// to drop.
 	PurgeFenced(ctx context.Context, ringVersion uint64) (int, error)
 }
 
@@ -257,17 +252,19 @@ func (s *LocalStore) Tasks(ctx context.Context) ([]mcs.Task, error) {
 	return out, nil
 }
 
-// roomForAccountLocked fails when registering one more account would
-// exceed the cap. Caller must hold mu.
-func (s *LocalStore) roomForAccountLocked() error {
-	if s.maxAccounts > 0 && len(s.accounts) >= s.maxAccounts {
+// roomForAccountLocked fails when registering one more account, on top
+// of pending ones not yet applied, would exceed the cap. Caller must hold
+// mu.
+func (s *LocalStore) roomForAccountLocked(pending int) error {
+	if s.maxAccounts > 0 && len(s.accounts)+pending >= s.maxAccounts {
 		return fmt.Errorf("%w (%d)", ErrTooManyAccounts, s.maxAccounts)
 	}
 	return nil
 }
 
-// registerAccountLocked creates the account state. Caller must hold mu
-// and have validated the cap via roomForAccountLocked.
+// registerAccountLocked creates the account state. Caller must hold mu;
+// the cap is checked by the client path's validation (roomForAccountLocked),
+// not here, so recovery never refuses what the log holds.
 func (s *LocalStore) registerAccountLocked(id string) *accountState {
 	st := &accountState{observations: make(map[int]mcs.Observation)}
 	s.accounts[id] = st
@@ -276,48 +273,10 @@ func (s *LocalStore) registerAccountLocked(id string) *accountState {
 }
 
 // Submit records one observation for an account. Each account may report
-// on each task at most once (§III-C). The mutation is fully validated
-// before it is journaled, and journaled (synced to the WAL) before it is
-// applied or acknowledged.
-//
-// An expired context is refused before the mutation is journaled or
-// applied, so a shed request is never half-acknowledged. The check runs
-// again under the store lock, immediately before the WAL fsync — the
-// expensive step a deadline most wants to skip. Once journaling starts
-// the operation always completes: a journaled-but-unapplied record would
-// be the torn state durability exists to prevent.
+// on each task at most once (§III-C). It is a one-item SubmitBatch: the
+// same validation, the same journal and the same ack.
 func (s *LocalStore) Submit(ctx context.Context, account string, task int, value float64, at time.Time) error {
-	if account == "" {
-		return ErrEmptyAccount
-	}
-	if !isFinite(value) {
-		return fmt.Errorf("%w: non-finite observation value %v", ErrMalformedRequest, value)
-	}
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	tok, err := s.submitLocked(ctx, account, task, value, at)
-	if err != nil {
-		return err
-	}
-	if s.journal != nil {
-		// Under group commit the fsync that settles the token runs here,
-		// outside the store lock, shared with every concurrent submitter.
-		if err := s.journal.waitDurable(tok); err != nil {
-			return err
-		}
-	}
-	if s.repl != nil {
-		// Semi-sync: the ack waits for a follower to hold the record too.
-		if err := s.repl.settle(ctx, tok); err != nil {
-			return err
-		}
-	}
-	s.notifySubmitted([]BatchSubmission{{Account: account, Task: task, Value: value, At: at}})
-	return nil
+	return s.SubmitBatch(ctx, []BatchSubmission{{Account: account, Task: task, Value: value, At: at}})[0]
 }
 
 // writeAllowed gates client mutations by replica role: a follower never
@@ -339,42 +298,78 @@ func (s *LocalStore) readAllowed() error {
 	return s.repl.allowRead()
 }
 
-// submitLocked validates, journals, and applies one submission under the
-// store lock, returning the commit token the caller must redeem (outside
-// the lock) before acknowledging.
-func (s *LocalStore) submitLocked(ctx context.Context, account string, task int, value float64, at time.Time) (commitToken, error) {
+// commit is the one write path every client mutation takes. A follower
+// or an expired deadline is refused first. Then, under the store lock,
+// plan validates the mutation against the current state and returns the
+// WAL records that carry it; they are journaled in one append and applied
+// through replayRecordLocked, the function recovery and followers replay
+// the same records with, so the live state is always what the log says.
+// Outside the lock the caller waits for the group fsync covering the
+// records and, on a semi-sync primary, for a follower to hold them. A plan
+// error, or a plan with no records, ends the commit with nothing
+// journaled.
+//
+// The deadline is checked again under the lock, immediately before the
+// append. Once journaling starts the operation always completes: a
+// journaled-but-unapplied record would be the torn state durability
+// exists to prevent.
+func (s *LocalStore) commit(ctx context.Context, plan func() ([]walRecord, error)) error {
+	if err := s.writeAllowed(); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrOverloaded, err)
+	}
+	tok, err := s.commitLocked(ctx, plan)
+	if err != nil || tok.seq == 0 {
+		return err
+	}
+	if err := s.journal.waitDurable(tok); err != nil {
+		return err
+	}
+	if s.repl != nil {
+		// Semi-sync: the ack waits for a follower to hold the records too.
+		return s.repl.settle(ctx, tok)
+	}
+	return nil
+}
+
+// opCounters names the counter each kind of client mutation adds its
+// records to. A purge is counted by the accounts it dropped instead.
+var opCounters = map[string]string{
+	opSubmit:      "platform.submissions",
+	opFingerprint: "platform.fingerprints",
+	opFence:       "platform.fences",
+}
+
+// commitLocked is the critical section of commit. The returned token is
+// zero when nothing was journaled (an empty plan, or no journal at all).
+func (s *LocalStore) commitLocked(ctx context.Context, plan func() ([]walRecord, error)) (commitToken, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if task < 0 || task >= len(s.tasks) {
-		return commitToken{}, fmt.Errorf("%w: %d", ErrUnknownTask, task)
-	}
-	if _, moved := s.fenced[account]; moved {
-		return commitToken{}, &WrongShardError{RingVersion: s.fenceVersion}
-	}
-	st := s.accounts[account]
-	if st == nil {
-		if err := s.roomForAccountLocked(); err != nil {
-			return commitToken{}, err
-		}
-	} else if _, dup := st.observations[task]; dup {
-		return commitToken{}, fmt.Errorf("%w: account %q task %d", ErrDuplicateReport, account, task)
+	recs, err := plan()
+	if err != nil || len(recs) == 0 {
+		return commitToken{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
 	}
 	var tok commitToken
 	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opSubmit, Account: account, Task: task, Value: value, Time: at})
-		if err != nil {
+		if tok, err = s.journal.appendLocked(recs); err != nil {
 			return commitToken{}, err
 		}
 	}
-	if st == nil {
-		st = s.registerAccountLocked(account)
+	accounts := len(s.accounts)
+	for _, rec := range recs {
+		s.replayRecordLocked(rec)
 	}
-	st.observations[task] = mcs.Observation{Task: task, Value: value, Time: at}
-	obs.Default().Counter("platform.submissions").Inc()
+	// Every plan journals one kind of operation.
+	if op := recs[0].Op; op == opUnfencePurge {
+		obs.Default().Counter("platform.purged_accounts").Add(int64(accounts - len(s.accounts)))
+	} else {
+		obs.Default().Counter(opCounters[op]).Add(int64(len(recs)))
+	}
 	if s.journal != nil {
 		s.journal.maybeCompactLocked()
 	}
@@ -393,49 +388,26 @@ type BatchSubmission struct {
 // Items are validated independently — a duplicate or malformed item gets
 // its own error and does not poison the rest of the batch — and the
 // per-item errors come back positionally (nil = acknowledged durable).
-// Deadline semantics match Submit: the batch is refused whole before the
-// journal write begins, never after.
+// Later items see earlier valid ones as already applied: an in-batch
+// duplicate is a duplicate, and the account cap counts accounts the batch
+// itself registers. A refusal of the whole commit (follower, deadline,
+// journal or replication failure) answers every item that has no error
+// of its own.
 func (s *LocalStore) SubmitBatch(ctx context.Context, items []BatchSubmission) []error {
 	errs := make([]error, len(items))
 	if len(items) == 0 {
 		return errs
 	}
-	if err := s.writeAllowed(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	if err := ctx.Err(); err != nil {
-		e := fmt.Errorf("%w: %v", ErrOverloaded, err)
-		for i := range errs {
-			errs[i] = e
-		}
-		return errs
-	}
-	tok, applied := s.submitBatchLocked(ctx, items, errs)
-	if s.journal != nil && len(applied) > 0 {
-		if err := s.journal.waitDurable(tok); err != nil {
-			for _, i := range applied {
-				errs[i] = err
-			}
-		}
-	}
-	if s.repl != nil && len(applied) > 0 {
-		// One follower ack covers the whole batch (the token carries the
-		// last sequence number journaled).
-		if err := s.repl.settle(ctx, tok); err != nil {
-			for _, i := range applied {
-				if errs[i] == nil {
-					errs[i] = err
-				}
-			}
-		}
-	}
+	err := s.commit(ctx, func() ([]walRecord, error) {
+		return s.validateBatchLocked(items, errs), nil
+	})
 	// Feed the acknowledged subset (applied and durably settled) to the
 	// stream listener.
 	var acked []BatchSubmission
-	for _, i := range applied {
+	for i := range errs {
+		if errs[i] == nil {
+			errs[i] = err
+		}
 		if errs[i] == nil {
 			acked = append(acked, items[i])
 		}
@@ -444,21 +416,17 @@ func (s *LocalStore) SubmitBatch(ctx context.Context, items []BatchSubmission) [
 	return errs
 }
 
-// submitBatchLocked validates each item (later items see earlier valid
-// ones as already applied — an in-batch duplicate is a duplicate, and the
-// account cap counts accounts the batch itself registers), journals every
-// valid item as one WAL batch, and applies them. Per-item errors land in
-// errs; the returned indexes are the items applied, covered by the token.
-func (s *LocalStore) submitBatchLocked(ctx context.Context, items []BatchSubmission, errs []error) (commitToken, []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// validateBatchLocked checks each item against the store and the items
+// before it, records per-item errors in errs, and returns the submit
+// records of the valid items. Caller must hold mu.
+func (s *LocalStore) validateBatchLocked(items []BatchSubmission, errs []error) []walRecord {
 	type reportKey struct {
 		account string
 		task    int
 	}
 	inBatch := make(map[reportKey]bool)
 	newAccounts := make(map[string]bool)
-	valid := make([]int, 0, len(items))
+	recs := make([]walRecord, 0, len(items))
 	for i, it := range items {
 		if it.Account == "" {
 			errs[i] = ErrEmptyAccount
@@ -486,56 +454,16 @@ func (s *LocalStore) submitBatchLocked(ctx context.Context, items []BatchSubmiss
 			continue
 		}
 		if st == nil && !newAccounts[it.Account] {
-			if s.maxAccounts > 0 && len(s.accounts)+len(newAccounts) >= s.maxAccounts {
-				errs[i] = fmt.Errorf("%w (%d)", ErrTooManyAccounts, s.maxAccounts)
+			if err := s.roomForAccountLocked(len(newAccounts)); err != nil {
+				errs[i] = err
 				continue
 			}
 			newAccounts[it.Account] = true
 		}
 		inBatch[reportKey{it.Account, it.Task}] = true
-		valid = append(valid, i)
+		recs = append(recs, walRecord{Op: opSubmit, Account: it.Account, Task: it.Task, Value: it.Value, Time: it.At})
 	}
-	if len(valid) == 0 {
-		return commitToken{}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		e := fmt.Errorf("%w: %v", ErrOverloaded, err)
-		for _, i := range valid {
-			errs[i] = e
-		}
-		return commitToken{}, nil
-	}
-	var tok commitToken
-	if s.journal != nil {
-		recs := make([]walRecord, len(valid))
-		for j, i := range valid {
-			it := items[i]
-			recs[j] = walRecord{Op: opSubmit, Account: it.Account, Task: it.Task, Value: it.Value, Time: it.At}
-		}
-		var err error
-		tok, err = s.journal.appendBatchLocked(recs)
-		if err != nil {
-			// The batch write is all-or-nothing at the process level (the
-			// writer repaired any partial frame), so nothing was applied.
-			for _, i := range valid {
-				errs[i] = err
-			}
-			return commitToken{}, nil
-		}
-	}
-	for _, i := range valid {
-		it := items[i]
-		st := s.accounts[it.Account]
-		if st == nil {
-			st = s.registerAccountLocked(it.Account)
-		}
-		st.observations[it.Task] = mcs.Observation{Task: it.Task, Value: it.Value, Time: it.At}
-	}
-	obs.Default().Counter("platform.submissions").Add(int64(len(valid)))
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return tok, valid
+	return recs
 }
 
 // RecordFingerprint extracts Table II features from a raw sign-in capture
@@ -577,72 +505,28 @@ func (s *LocalStore) RecordFingerprintFeatures(ctx context.Context, account stri
 			return fmt.Errorf("%w: non-finite feature %v", ErrBadFingerprint, f)
 		}
 	}
-	return s.setFingerprint(ctx, account, append([]float64(nil), features...))
+	return s.setFingerprint(ctx, account, features)
 }
 
-// setFingerprint journals and applies a validated feature vector. vec
-// ownership transfers to the store. Deadline semantics match Submit:
-// refuse before the journal fsync, never after.
+// setFingerprint commits a validated feature vector (the apply copies it).
 func (s *LocalStore) setFingerprint(ctx context.Context, account string, vec []float64) error {
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	tok, err := s.setFingerprintLocked(ctx, account, vec)
-	if err != nil {
-		return err
-	}
-	if s.journal != nil {
-		if err := s.journal.waitDurable(tok); err != nil {
-			return err
+	return s.commit(ctx, func() ([]walRecord, error) {
+		if _, moved := s.fenced[account]; moved {
+			return nil, &WrongShardError{RingVersion: s.fenceVersion}
 		}
-	}
-	if s.repl != nil {
-		return s.repl.settle(ctx, tok)
-	}
-	return nil
-}
-
-func (s *LocalStore) setFingerprintLocked(ctx context.Context, account string, vec []float64) (commitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, moved := s.fenced[account]; moved {
-		return commitToken{}, &WrongShardError{RingVersion: s.fenceVersion}
-	}
-	st := s.accounts[account]
-	if st == nil {
-		if err := s.roomForAccountLocked(); err != nil {
-			return commitToken{}, err
+		if s.accounts[account] == nil {
+			if err := s.roomForAccountLocked(0); err != nil {
+				return nil, err
+			}
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	var tok commitToken
-	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opFingerprint, Account: account, Features: vec})
-		if err != nil {
-			return commitToken{}, err
-		}
-	}
-	if st == nil {
-		st = s.registerAccountLocked(account)
-	}
-	st.fingerprint = vec
-	obs.Default().Counter("platform.fingerprints").Inc()
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return tok, nil
+		return []walRecord{{Op: opFingerprint, Account: account, Features: vec}}, nil
+	})
 }
 
 // Fence durably marks accounts as moved off this shard as of ringVersion
 // (see Fencer). Fencing is a write: it is journaled and fsynced before it
-// takes effect, ships to followers through the regular WAL stream, and on
-// a semi-sync primary the ack waits for a follower to hold it — so a
+// is acknowledged, ships to followers through the regular WAL stream, and
+// on a semi-sync primary the ack waits for a follower to hold it — so a
 // promoted follower is exactly as fenced as the primary it replaces.
 // Fencing an already-fenced account raises its version; fencing with an
 // older version than an existing fence is a no-op for that account but
@@ -652,51 +536,14 @@ func (s *LocalStore) Fence(ctx context.Context, ringVersion uint64, accounts []s
 	if ringVersion == 0 {
 		return fmt.Errorf("%w: fence needs a ring version", ErrMalformedRequest)
 	}
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	tok, err := s.fenceLocked(ctx, ringVersion, accounts)
-	if err != nil {
-		return err
-	}
-	if s.journal != nil {
-		if err := s.journal.waitDurable(tok); err != nil {
-			return err
-		}
-	}
-	if s.repl != nil {
-		return s.repl.settle(ctx, tok)
-	}
-	return nil
+	return s.commit(ctx, func() ([]walRecord, error) {
+		return []walRecord{{Op: opFence, Ring: ringVersion, Accounts: accounts}}, nil
+	})
 }
 
-func (s *LocalStore) fenceLocked(ctx context.Context, ringVersion uint64, accounts []string) (commitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	var tok commitToken
-	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opFence, Ring: ringVersion, Accounts: accounts})
-		if err != nil {
-			return commitToken{}, err
-		}
-	}
-	s.applyFenceLocked(ringVersion, accounts)
-	obs.Default().Counter("platform.fences").Inc()
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return tok, nil
-}
-
-// applyFenceLocked installs the fence in memory. Shared by the client
-// path, WAL replay, and snapshot adoption; caller must hold mu.
+// applyFenceLocked installs the fence in memory. Reached through
+// replayRecordLocked by the client path, WAL recovery and the follower
+// apply path alike; caller must hold mu.
 func (s *LocalStore) applyFenceLocked(ringVersion uint64, accounts []string) {
 	if s.fenced == nil {
 		s.fenced = make(map[string]uint64)
@@ -752,9 +599,9 @@ func (s *LocalStore) resetFenceLocked(fenced map[string]uint64, version uint64) 
 }
 
 // PurgeFenced durably drops the data of every account fenced at or below
-// ringVersion (see FencePurger) — the GC the migration coordinator runs
-// after a reshard completes. Like Fence, the purge is a write: journaled
-// and fsynced before it takes effect, shipped to followers through the
+// ringVersion (see Fencer) — the GC the migration coordinator runs after
+// a reshard completes. Like Fence, the purge is a write: journaled and
+// fsynced before it is acknowledged, shipped to followers through the
 // regular WAL stream, and settled under the configured ack mode, so a
 // promoted follower has purged exactly what its dead primary had. The
 // fence map and fence-version watermark survive: stale writers still get
@@ -764,58 +611,24 @@ func (s *LocalStore) PurgeFenced(ctx context.Context, ringVersion uint64) (int, 
 	if ringVersion == 0 {
 		return 0, fmt.Errorf("%w: purge needs a ring version", ErrMalformedRequest)
 	}
-	if err := s.writeAllowed(); err != nil {
+	n := 0
+	err := s.commit(ctx, func() ([]walRecord, error) {
+		// Count first: an empty purge must not burn a WAL record (the
+		// coordinator re-issues purges freely on resume).
+		for a, v := range s.fenced {
+			if v <= ringVersion && s.accounts[a] != nil {
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, nil
+		}
+		return []walRecord{{Op: opUnfencePurge, Ring: ringVersion}}, nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	n, tok, err := s.purgeLocked(ctx, ringVersion)
-	if err != nil || n == 0 {
-		return n, err
-	}
-	if s.journal != nil {
-		if err := s.journal.waitDurable(tok); err != nil {
-			return 0, err
-		}
-	}
-	if s.repl != nil {
-		return n, s.repl.settle(ctx, tok)
-	}
 	return n, nil
-}
-
-func (s *LocalStore) purgeLocked(ctx context.Context, ringVersion uint64) (int, commitToken, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return 0, commitToken{}, fmt.Errorf("%w: %v", ErrOverloaded, err)
-	}
-	// Count first: an empty purge must not burn a WAL record (the
-	// coordinator re-issues purges freely on resume).
-	pending := 0
-	for a, v := range s.fenced {
-		if v <= ringVersion && s.accounts[a] != nil {
-			pending++
-		}
-	}
-	if pending == 0 {
-		return 0, commitToken{}, nil
-	}
-	var tok commitToken
-	if s.journal != nil {
-		var err error
-		tok, err = s.journal.appendLocked(walRecord{Op: opUnfencePurge, Ring: ringVersion})
-		if err != nil {
-			return 0, commitToken{}, err
-		}
-	}
-	n := s.applyPurgeLocked(ringVersion)
-	obs.Default().Counter("platform.purged_accounts").Add(int64(n))
-	if s.journal != nil {
-		s.journal.maybeCompactLocked()
-	}
-	return n, tok, nil
 }
 
 // applyPurgeLocked drops fenced accounts' data in memory. Shared by the

@@ -120,7 +120,7 @@ type noPurgeStore struct{ Store }
 
 // TestPurgeOverHTTP covers the wire: POST /v1/admin/purge drives
 // PurgeFenced through Server, Client, and RemoteStore, and a backend
-// without the FencePurger capability answers the typed unimplemented
+// without the Fencer capability answers the typed unimplemented
 // code instead of a generic 500.
 func TestPurgeOverHTTP(t *testing.T) {
 	store := NewLocalStore(testTasks(2))

@@ -33,14 +33,13 @@ type RemoteStore struct {
 }
 
 // RemoteStore implements Store, the Pinger health capability, and the
-// resharding capabilities (Exporter, Fencer, FencePurger) by forwarding
-// to the backing node.
+// resharding capabilities (Exporter, Fencer) by forwarding to the backing
+// node.
 var (
-	_ Store       = (*RemoteStore)(nil)
-	_ Pinger      = (*RemoteStore)(nil)
-	_ Exporter    = (*RemoteStore)(nil)
-	_ Fencer      = (*RemoteStore)(nil)
-	_ FencePurger = (*RemoteStore)(nil)
+	_ Store    = (*RemoteStore)(nil)
+	_ Pinger   = (*RemoteStore)(nil)
+	_ Exporter = (*RemoteStore)(nil)
+	_ Fencer   = (*RemoteStore)(nil)
 )
 
 // NewRemoteStore wraps c as a Store.

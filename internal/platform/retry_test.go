@@ -32,12 +32,12 @@ func TestClientHonorsRetryAfterOn429(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  5 * time.Millisecond,
-	})
+	}))
 	if _, err := client.Tasks(context.Background()); err != nil {
 		t.Fatalf("rate-limited request not absorbed: %v", err)
 	}
@@ -62,12 +62,12 @@ func TestClientRetries429WithRateLimitedCodeButNoHeader(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 0}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     1,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  2 * time.Millisecond,
-	})
+	}))
 	if _, err := client.Tasks(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestClientDoesNotRetrySemantic429(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(ErrorResponse{Code: CodeAccountCapReached, Error: "cap"})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     5,
 		RetryBaseDelay: time.Millisecond,
-	})
+	}))
 	_, err := client.Tasks(context.Background())
 	if !errors.Is(err, ErrTooManyAccounts) {
 		t.Fatalf("err = %v", err)
@@ -111,10 +111,10 @@ func TestClientBackoffAbortsOnContextCancel(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(ErrorResponse{Code: CodeRateLimited, Error: "wait"})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient: srv.Client(),
 		MaxRetries: 3,
-	})
+	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -149,12 +149,12 @@ func TestClientRetriesTornBody(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 7}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:     srv.Client(),
 		MaxRetries:     2,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  5 * time.Millisecond,
-	})
+	}))
 	tasks, err := client.Tasks(context.Background())
 	if err != nil {
 		t.Fatalf("torn body not retried: %v", err)
@@ -176,12 +176,12 @@ func TestClientBreakerOpensAndFailsFast(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:       srv.Client(),
 		MaxRetries:       0,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Hour, // stays open for the test's lifetime
-	})
+	}))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := client.Tasks(ctx); err == nil {
@@ -213,11 +213,11 @@ func TestClientBreakerRecoversViaProbe(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]TaskDTO{{ID: 0}})
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClientWithConfig(srv.URL, ClientConfig{
+	client := NewClient(srv.URL, WithConfig(ClientConfig{
 		HTTPClient:       srv.Client(),
 		BreakerThreshold: 2,
 		BreakerCooldown:  10 * time.Millisecond,
-	})
+	}))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		_, _ = client.Tasks(ctx)

@@ -1213,17 +1213,17 @@ func (m *Migration) drainDonor(ctx context.Context, di int) error {
 func (m *Migration) purgeDonors(ctx context.Context) {
 	for di, d := range m.donors {
 		cur := d.g.primaryIdx()
-		p, ok := d.g.replicas[cur].(platform.FencePurger)
+		f, ok := d.g.replicas[cur].(platform.Fencer)
 		if !ok {
 			continue
 		}
-		n, err := p.PurgeFenced(ctx, m.cand.version)
+		n, err := f.PurgeFenced(ctx, m.cand.version)
 		if err != nil && errors.Is(err, platform.ErrNotPrimary) {
 			// The donor failed over since the drain; one refresh, like any
 			// routed write.
 			if idx, ok2 := m.store.refreshPrimaryGroup(ctx, d.g); ok2 && idx != cur {
-				if p2, ok3 := d.g.replicas[idx].(platform.FencePurger); ok3 {
-					n, err = p2.PurgeFenced(ctx, m.cand.version)
+				if f2, ok3 := d.g.replicas[idx].(platform.Fencer); ok3 {
+					n, err = f2.PurgeFenced(ctx, m.cand.version)
 				}
 			}
 		}

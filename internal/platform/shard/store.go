@@ -135,9 +135,9 @@ type replClient interface {
 // account — so the per-account duplicate guard, rate bucket, and WAL
 // entries all live in exactly one place — and whole-campaign reads
 // scatter-gather, falling back to followers when a group's primary is
-// unreachable. It implements platform.Store plus the HealthReporter and
-// RingStatusReporter capabilities, so a platform.Server fronting it serves
-// the identical /v1 wire API with an aggregated /readyz.
+// unreachable. It implements platform.Store plus the HealthReporter
+// capability, so a platform.Server fronting it serves the identical /v1
+// wire API with an aggregated /readyz.
 //
 // The ring and group list live in a versioned topology behind an atomic
 // pointer: every operation routes against one consistent snapshot, and an
@@ -164,12 +164,10 @@ type Store struct {
 	floorPath string
 }
 
-// Store implements platform.Store plus the HealthReporter and
-// RingStatusReporter capabilities.
+// Store implements platform.Store plus the HealthReporter capability.
 var (
-	_ platform.Store              = (*Store)(nil)
-	_ platform.HealthReporter     = (*Store)(nil)
-	_ platform.RingStatusReporter = (*Store)(nil)
+	_ platform.Store          = (*Store)(nil)
+	_ platform.HealthReporter = (*Store)(nil)
 )
 
 // New composes backends into one sharded store of single-replica groups.
@@ -375,8 +373,8 @@ func (s *Store) AdoptRingState(version uint64, seeds []int, weights []float64) e
 }
 
 // RingStatus reports the live topology version and whether an online
-// reshard is in flight (implements platform.RingStatusReporter; /readyz
-// folds it into its body).
+// reshard is in flight (part of platform.HealthReporter; /readyz folds
+// it into its body).
 func (s *Store) RingStatus() platform.RingStatus {
 	return platform.RingStatus{Version: s.topology().version, Migrating: s.migrating.Load()}
 }

@@ -59,11 +59,14 @@ type Pinger interface {
 	Ready(ctx context.Context) (ReadyzResponse, error)
 }
 
-// HealthReporter is an optional Store capability: per-shard health for a
-// composite store. When the server's store implements it, /readyz
-// aggregates the breakdown and answers 503 unless every shard is ready.
+// HealthReporter is an optional Store capability: per-shard health and
+// the ring status of a composite store. When the server's store
+// implements it, /readyz aggregates the breakdown, answers 503 unless
+// every shard is ready, and carries the ring version and whether an
+// online reshard is in flight, so operators can watch it cut over.
 type HealthReporter interface {
 	ShardHealth(ctx context.Context) []ShardHealth
+	RingStatus() RingStatus
 }
 
 // ShardHealth is one shard's slice of a composite /readyz answer. On a
@@ -91,11 +94,10 @@ type ShardHealth struct {
 	ProbeAgeMs int64 `json:"probe_age_ms,omitempty"`
 }
 
-// ReadyzResponse is the body served at /readyz. Shards is present only on
-// a router aggregating a multi-shard platform; a single node serializes
-// exactly the pre-sharding {"status": ...} body. RingVersion and
-// Migrating appear on a router whose store reports ring status (see
-// RingStatusReporter), so operators can watch an online reshard cut over.
+// ReadyzResponse is the body served at /readyz. Shards, RingVersion and
+// Migrating are present only on a router aggregating a multi-shard
+// platform (see HealthReporter); a single node serializes exactly the
+// pre-sharding {"status": ...} body.
 type ReadyzResponse struct {
 	Status      string        `json:"status"`
 	Shards      []ShardHealth `json:"shards,omitempty"`
@@ -108,10 +110,4 @@ type ReadyzResponse struct {
 type RingStatus struct {
 	Version   uint64 `json:"ring_version"`
 	Migrating bool   `json:"migrating"`
-}
-
-// RingStatusReporter is an optional Store capability: the sharded router
-// implements it, and /readyz folds the answer into its body.
-type RingStatusReporter interface {
-	RingStatus() RingStatus
 }

@@ -516,7 +516,7 @@ func TestWatchReconnectResumes(t *testing.T) {
 	// MaxRetries covers the submit that races the severed connection pool:
 	// CloseClientConnections kills pooled submit conns too, so the first
 	// POST after the cut can land on a dead socket.
-	client := NewClientWithConfig(ts.URL, ClientConfig{MaxRetries: 3, RetryBaseDelay: 10 * time.Millisecond})
+	client := NewClient(ts.URL, WithConfig(ClientConfig{MaxRetries: 3, RetryBaseDelay: 10 * time.Millisecond}))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
