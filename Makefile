@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify bench bench-ingest bench-stream fuzz recovery chaos stream shard replication reshard shrink
+.PHONY: build test race vet fmt verify perfbench-check loc bench bench-ingest bench-stream fuzz recovery chaos stream shard replication reshard shrink
 
 build:
 	$(GO) build ./...
@@ -82,11 +82,25 @@ reshard:
 shrink:
 	$(GO) test -race -run 'Shrink|Decommission|Rebalance|RingWeighted|RingFloor|JournalCorrupt|Purge' ./internal/platform/...
 
+# The benchmark (perfbench/) is its own Go module, so ./... never compiles
+# it; vet and test it here so an API change that breaks the benchmark fails
+# verify instead of the benchmark run.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # The suite targets above are -run filters over packages that race already
 # covers in full (no test is gated by a build tag or an environment
 # variable), so verify runs each test under -race once; they stay for
 # focused local runs.
-verify: build fmt vet test race
+verify: build fmt vet test race perfbench-check
+
+# Source size per package: non-blank, non-comment lines of the non-test .go
+# files (tracked or new, not ignored), then the total.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | \
+		while read -r f; do echo "$$(dirname $$f) $$(grep -v '^\s*//' $$f | grep -cv '^\s*$$')"; done | \
+		awk '{n[$$1] += $$2; t += $$2} END {for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t}'
 
 # Regenerates every paper table/figure plus the ablations and the parallel
 # grouping scaling benchmark (see EXPERIMENTS.md for a curated run).

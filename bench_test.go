@@ -327,9 +327,10 @@ func BenchmarkAblationCombo(b *testing.B) {
 // on a 500-account synthetic campaign (490 legitimate users plus two
 // default attackers with 5 accounts each): ~125k account pairs, each
 // costing two DTW evaluations. The procs=1 case is the sequential path;
-// higher procs fan the packed dissimilarity matrix out across workers with
-// per-worker DTW buffers. The first iteration of each case cross-checks
-// that the partitions are byte-identical regardless of parallelism.
+// higher procs fan the pair pass out across workers with per-worker DTW
+// buffers, each unioning its sub-threshold pairs into one shared
+// union-find. The first iteration of each case cross-checks that the
+// partitions are byte-identical regardless of parallelism.
 func BenchmarkAGTRGrouping500(b *testing.B) {
 	sc, err := simulate.Build(simulate.Config{Seed: 11, NumLegit: 490, SybilActiveness: 0.8})
 	if err != nil {

@@ -9,8 +9,8 @@ import "math"
 // (roughly) one allocation per worker for a whole grouping run.
 //
 // A Calculator is not safe for concurrent use: give each worker goroutine
-// its own (see parallel.PairwiseWorkers). The zero value is ready to use.
-// Results are bit-identical to the free functions.
+// its own (see the per-worker setup of parallel.Pairwise). The zero value
+// is ready to use. Results are bit-identical to the free functions.
 type Calculator struct {
 	prev, cur       []float64
 	prevLen, curLen []int

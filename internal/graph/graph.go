@@ -1,174 +1,13 @@
-// Package graph provides the small graph substrate shared by the AG-TS and
-// AG-TR grouping methods: a weighted undirected graph over account indices,
-// edge-threshold filtering, and connected-component discovery (iterative
-// DFS, plus a union-find alternative used for cross-checking).
+// Package graph provides the component substrate of the threshold grouping
+// methods (AG-TS, AG-TR and their combination): a union-find over account
+// indices, into which the groupers union each threshold-graph edge as they
+// find it, so the graph itself is never materialized.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Undirected is a weighted undirected graph over vertices 0..N-1.
-// The zero value is unusable; construct with NewUndirected.
-type Undirected struct {
-	n   int
-	adj [][]edge
-}
-
-type edge struct {
-	to     int
-	weight float64
-}
-
-// NewUndirected creates a graph with n isolated vertices.
-func NewUndirected(n int) *Undirected {
-	if n < 0 {
-		n = 0
-	}
-	return &Undirected{n: n, adj: make([][]edge, n)}
-}
-
-// N returns the number of vertices.
-func (g *Undirected) N() int { return g.n }
-
-// AddEdge adds an undirected edge between u and v with the given weight.
-// Self-loops are ignored. Out-of-range vertices return an error.
-func (g *Undirected) AddEdge(u, v int, weight float64) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if u == v {
-		return nil
-	}
-	g.adj[u] = append(g.adj[u], edge{to: v, weight: weight})
-	g.adj[v] = append(g.adj[v], edge{to: u, weight: weight})
-	return nil
-}
-
-// Degree returns the number of edges incident to u (0 for out-of-range).
-func (g *Undirected) Degree(u int) int {
-	if u < 0 || u >= g.n {
-		return 0
-	}
-	return len(g.adj[u])
-}
-
-// HasEdge reports whether an edge u-v exists.
-func (g *Undirected) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n {
-		return false
-	}
-	for _, e := range g.adj[u] {
-		if e.to == v {
-			return true
-		}
-	}
-	return false
-}
-
-// ConnectedComponents returns the connected components of g using an
-// iterative depth-first search. Every vertex appears in exactly one
-// component; isolated vertices form singleton components. Components are
-// ordered by their smallest vertex, and vertices within a component are
-// sorted ascending, so the output is deterministic.
-func (g *Undirected) ConnectedComponents() [][]int {
-	visited := make([]bool, g.n)
-	var components [][]int
-	stack := make([]int, 0, g.n)
-	for start := 0; start < g.n; start++ {
-		if visited[start] {
-			continue
-		}
-		var comp []int
-		stack = append(stack[:0], start)
-		visited[start] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, e := range g.adj[u] {
-				if !visited[e.to] {
-					visited[e.to] = true
-					stack = append(stack, e.to)
-				}
-			}
-		}
-		sort.Ints(comp)
-		components = append(components, comp)
-	}
-	return components
-}
-
-// ThresholdAbove builds a graph over n vertices from a symmetric weight
-// function, keeping edges with weight(i, j) > threshold. It evaluates
-// weight once per unordered pair (i < j). Used by AG-TS, where high
-// affinity means suspicious.
-func ThresholdAbove(n int, weight func(i, j int) float64, threshold float64) *Undirected {
-	g := NewUndirected(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if w := weight(i, j); w > threshold {
-				// Error impossible: indices are in range by construction.
-				_ = g.AddEdge(i, j, w)
-			}
-		}
-	}
-	return g
-}
-
-// ThresholdBelow builds a graph over n vertices keeping edges with
-// weight(i, j) < threshold. Used by AG-TR, where low dissimilarity means
-// suspicious.
-func ThresholdBelow(n int, weight func(i, j int) float64, threshold float64) *Undirected {
-	g := NewUndirected(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if w := weight(i, j); w < threshold {
-				_ = g.AddEdge(i, j, w)
-			}
-		}
-	}
-	return g
-}
-
-// ThresholdAbovePacked is ThresholdAbove over a precomputed packed weight
-// matrix: weights holds the strict upper triangle in row-major order
-// ((0,1), (0,2), ..., (n-2,n-1), as produced by parallel.Pairwise), so its
-// length must be n*(n-1)/2. The grouping methods fill the packed matrix in
-// parallel and then build the graph here; scanning the triangle in the same
-// row-major order keeps edge insertion — and thus component discovery —
-// byte-identical to the sequential weight-function path.
-func ThresholdAbovePacked(n int, weights []float64, threshold float64) (*Undirected, error) {
-	return thresholdPacked(n, weights, func(w float64) bool { return w > threshold })
-}
-
-// ThresholdBelowPacked is ThresholdBelow over a packed weight matrix; see
-// ThresholdAbovePacked for the layout.
-func ThresholdBelowPacked(n int, weights []float64, threshold float64) (*Undirected, error) {
-	return thresholdPacked(n, weights, func(w float64) bool { return w < threshold })
-}
-
-func thresholdPacked(n int, weights []float64, keep func(w float64) bool) (*Undirected, error) {
-	if want := n * (n - 1) / 2; n >= 2 && len(weights) != want {
-		return nil, fmt.Errorf("graph: packed matrix has %d weights, want %d for n=%d", len(weights), want, n)
-	}
-	g := NewUndirected(n)
-	k := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if w := weights[k]; keep(w) {
-				_ = g.AddEdge(i, j, w)
-			}
-			k++
-		}
-	}
-	return g, nil
-}
-
-// UnionFind is a disjoint-set forest with union by rank and path
-// compression. It provides an independent implementation of component
-// discovery used to cross-validate DFS results in tests.
+// UnionFind is a disjoint-set forest with union by rank and path halving.
+// It is not safe for concurrent use.
 type UnionFind struct {
 	parent []int
 	rank   []byte

@@ -3,13 +3,12 @@ package grouping
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"sybiltd/internal/dtw"
-	"sybiltd/internal/graph"
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
-	"sybiltd/internal/parallel"
 )
 
 // DefaultPhi is the dissimilarity threshold the paper uses in its worked
@@ -37,9 +36,10 @@ const (
 //	D(i,j) = DTW(X_i, X_j) + DTW(Y_i, Y_j),
 //
 // is computed for every pair, pairs strictly below Phi become graph edges,
-// and connected components become groups. It defends against Attack-II
-// even when most accounts perform similar task sets, because the timestamp
-// series still separates independent users.
+// and connected components become groups; accounts with no observations
+// are never grouped. It defends against Attack-II even when most accounts
+// perform similar task sets, because the timestamp series still separates
+// independent users.
 type AGTR struct {
 	// Phi is the dissimilarity threshold. Zero means DefaultPhi. Edges
 	// require dissimilarity < Phi (the paper's strict inequality).
@@ -72,33 +72,37 @@ func (g AGTR) Series(ds *mcs.Dataset, ai int, origin time.Time, unit time.Durati
 }
 
 // Dissimilarity returns the Eq. (8) dissimilarity between accounts i and j.
+// It is +Inf when either account has no observations: without trajectory
+// evidence an account is never grouped, not even with another idle one.
 func (g AGTR) Dissimilarity(ds *mcs.Dataset, i, j int) float64 {
-	origin, _, ok := ds.TimeSpan()
-	if !ok {
-		origin = time.Time{}
-	}
-	unit := g.TimeUnit
-	if unit == 0 {
-		unit = 24 * time.Hour
-	}
+	origin, unit := g.timeAxis(ds)
 	xi, yi := g.Series(ds, i, origin, unit)
 	xj, yj := g.Series(ds, j, origin, unit)
-	return g.distance(xi, xj) + g.distance(yi, yj)
+	return g.dissimilarity(dtw.NewCalculator(), xi, yi, xj, yj)
 }
 
-func (g AGTR) distance(a, b []float64) float64 {
-	var c dtw.Calculator
-	return g.calcDistance(&c, a, b)
-}
-
-// calcDistance is distance through a caller-owned Calculator, so the hot
-// pairwise loop reuses DP buffers instead of allocating four slices per
-// DTW evaluation.
-func (g AGTR) calcDistance(c *dtw.Calculator, a, b []float64) float64 {
-	if g.Mode == TRAbsolute {
-		return c.AbsoluteCost(a, b)
+// timeAxis returns the origin and unit of ds's timestamp series: the
+// campaign start and TimeUnit (24h when zero).
+func (g AGTR) timeAxis(ds *mcs.Dataset) (time.Time, time.Duration) {
+	origin, _, _ := ds.TimeSpan()
+	if g.TimeUnit == 0 {
+		return origin, 24 * time.Hour
 	}
-	return c.Distance(a, b)
+	return origin, g.TimeUnit
+}
+
+// dissimilarity is Eq. (8) over two accounts' task series x and timestamp
+// series y, through a caller-owned Calculator so the pair pass reuses DP
+// buffers. Dissimilarity and the grouping edge rule both call it, so the
+// public measure and the grouping cannot drift apart.
+func (g AGTR) dissimilarity(c *dtw.Calculator, xi, yi, xj, yj []float64) float64 {
+	if len(xi) == 0 || len(xj) == 0 {
+		return math.Inf(1)
+	}
+	if g.Mode == TRAbsolute {
+		return c.AbsoluteCost(xi, xj) + c.AbsoluteCost(yi, yj)
+	}
+	return c.Distance(xi, xj) + c.Distance(yi, yj)
 }
 
 // Group implements Grouper.
@@ -106,10 +110,10 @@ func (g AGTR) Group(ds *mcs.Dataset) (Grouping, error) {
 	return g.GroupContext(context.Background(), ds)
 }
 
-// GroupContext implements ContextGrouper: the O(n²) DTW distance-matrix
-// fill — the framework's hottest stage — stops handing out pairs once ctx
-// is done and the context error is returned, so a request deadline can
-// bound a grouping pass that would otherwise run for seconds.
+// GroupContext implements ContextGrouper: the O(n²) DTW pair pass — the
+// framework's hottest stage — stops handing out pairs once ctx is done and
+// the context error is returned, so a request deadline can bound a
+// grouping pass that would otherwise run for seconds.
 func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, error) {
 	if ds == nil {
 		return Grouping{}, ErrNilDataset
@@ -122,37 +126,22 @@ func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, erro
 	if phi == 0 && !g.PhiSet {
 		phi = DefaultPhi
 	}
-	unit := g.TimeUnit
-	if unit == 0 {
-		unit = 24 * time.Hour
-	}
-	origin, _, ok := ds.TimeSpan()
-	if !ok {
-		origin = time.Time{}
-	}
 
-	// Precompute the series once; the pairwise stage is O(n^2) DTW calls —
-	// the framework's hot path. The packed Eq. (8) dissimilarity matrix is
-	// filled in parallel with a per-worker DTW calculator (each pair writes
-	// its own slot, so the matrix is bit-identical to the sequential loop),
-	// then thresholded into the account graph in row-major order.
+	// Precompute the series once; the pair pass is O(n²) DTW calls, run
+	// with one DTW calculator per worker. A pair with dissimilarity
+	// strictly below φ is an edge. The distance_matrix_seconds timer
+	// covers this pair pass (perfbench reports it as dtw_matrix_ms).
+	origin, unit := g.timeAxis(ds)
 	taskSeries := make([][]float64, n)
 	timeSeries := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		taskSeries[i], timeSeries[i] = g.Series(ds, i, origin, unit)
 	}
-	dis := make([]float64, parallel.NumPairs(n))
 	sw := obs.Default().Timer("grouping.agtr.distance_matrix_seconds").Start()
-	err := parallel.PairwiseWorkersCtx(ctx, n, func() func(i, j, k int) {
+	uf, err := unionEdges(ctx, n, func() func(i, j int) bool {
 		calc := dtw.NewCalculator()
-		return func(i, j, k int) {
-			if len(taskSeries[i]) == 0 || len(taskSeries[j]) == 0 {
-				// No trajectory evidence: never group idle accounts.
-				dis[k] = phi + 1
-				return
-			}
-			dis[k] = g.calcDistance(calc, taskSeries[i], taskSeries[j]) +
-				g.calcDistance(calc, timeSeries[i], timeSeries[j])
+		return func(i, j int) bool {
+			return g.dissimilarity(calc, taskSeries[i], timeSeries[i], taskSeries[j], timeSeries[j]) < phi
 		}
 	})
 	sw.Stop()
@@ -160,11 +149,7 @@ func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, erro
 		return Grouping{}, fmt.Errorf("grouping: AG-TR cancelled: %w", err)
 	}
 	sw = obs.Default().Timer("grouping.agtr.components_seconds").Start()
-	ug, err := graph.ThresholdBelowPacked(n, dis, phi)
-	if err != nil {
-		return Grouping{}, fmt.Errorf("grouping: AG-TR: %w", err)
-	}
-	grp := fromComponents(ug.ConnectedComponents())
+	grp := fromComponents(uf.Components())
 	sw.Stop()
 	return grp, nil
 }

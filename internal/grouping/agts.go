@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"sybiltd/internal/graph"
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
-	"sybiltd/internal/parallel"
 )
 
 // DefaultRho is the affinity threshold the paper uses in its worked
@@ -41,16 +39,16 @@ func (AGTS) Name() string { return "AG-TS" }
 // m is taken from the dataset. Accounts with no observations have affinity
 // with T=0, L=|other's tasks|.
 func (AGTS) Affinity(ds *mcs.Dataset, i, j int) float64 {
-	m := ds.NumTasks()
+	return affinity(ds.Accounts[i].TaskSet(), ds.Accounts[j].TaskSet(), ds.NumTasks())
+}
+
+// affinity is Eq. (6) over two task sets in a campaign of m tasks, and 0
+// when there are no tasks. Affinity and the grouping edge rule both call
+// it.
+func affinity(si, sj map[int]bool, m int) float64 {
 	if m == 0 {
 		return 0
 	}
-	si := ds.Accounts[i].TaskSet()
-	sj := ds.Accounts[j].TaskSet()
-	return affinity(si, sj, m)
-}
-
-func affinity(si, sj map[int]bool, m int) float64 {
 	var both, alone int
 	for t := range si {
 		if sj[t] {
@@ -72,7 +70,7 @@ func (g AGTS) Group(ds *mcs.Dataset) (Grouping, error) {
 	return g.GroupContext(context.Background(), ds)
 }
 
-// GroupContext implements ContextGrouper: the O(n²) affinity-matrix fill
+// GroupContext implements ContextGrouper: the O(n²) affinity pair pass
 // stops handing out pairs once ctx is done and the context error is
 // returned.
 func (g AGTS) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, error) {
@@ -92,28 +90,18 @@ func (g AGTS) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, erro
 	for i := range ds.Accounts {
 		sets[i] = ds.Accounts[i].TaskSet()
 	}
-	// The packed Eq. (6) affinity matrix is filled in parallel — each pair
-	// writes its own slot, so it is bit-identical to the sequential loop —
-	// and thresholded into the account graph in row-major order.
-	aff := make([]float64, parallel.NumPairs(n))
+	// A pair with affinity strictly above ρ is an edge. The
+	// affinity_matrix_seconds timer covers this pair pass.
 	sw := obs.Default().Timer("grouping.agts.affinity_matrix_seconds").Start()
-	err := parallel.PairwiseCtx(ctx, n, func(i, j, k int) {
-		if m == 0 {
-			aff[k] = 0
-			return
-		}
-		aff[k] = affinity(sets[i], sets[j], m)
+	uf, err := unionEdges(ctx, n, func() func(i, j int) bool {
+		return func(i, j int) bool { return affinity(sets[i], sets[j], m) > rho }
 	})
 	sw.Stop()
 	if err != nil {
 		return Grouping{}, fmt.Errorf("grouping: AG-TS cancelled: %w", err)
 	}
 	sw = obs.Default().Timer("grouping.agts.components_seconds").Start()
-	ug, err := graph.ThresholdAbovePacked(n, aff, rho)
-	if err != nil {
-		return Grouping{}, fmt.Errorf("grouping: AG-TS: %w", err)
-	}
-	grp := fromComponents(ug.ConnectedComponents())
+	grp := fromComponents(uf.Components())
 	sw.Stop()
 	return grp, nil
 }

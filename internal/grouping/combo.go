@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sybiltd/internal/graph"
 	"sybiltd/internal/mcs"
 )
 
@@ -67,7 +66,8 @@ func (c Combo) Group(ds *mcs.Dataset) (Grouping, error) {
 }
 
 // GroupContext implements ContextGrouper: cancellation is forwarded to
-// every member that supports it and checked between members.
+// every member that supports it, checked between members, and honored by
+// the parallel pass that merges the members' pair verdicts.
 func (c Combo) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, error) {
 	if ds == nil {
 		return Grouping{}, ErrNilDataset
@@ -106,13 +106,9 @@ func (c Combo) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, err
 		}
 	}
 
-	uf := graph.NewUnionFind(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if together(i, j) {
-				uf.Union(i, j)
-			}
-		}
+	uf, err := unionEdges(ctx, n, func() func(i, j int) bool { return together })
+	if err != nil {
+		return Grouping{}, fmt.Errorf("grouping: combo cancelled: %w", err)
 	}
 	return fromComponents(uf.Components()), nil
 }

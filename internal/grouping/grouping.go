@@ -12,8 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
+	"sybiltd/internal/graph"
 	"sybiltd/internal/mcs"
+	"sybiltd/internal/parallel"
 )
 
 // ErrNilDataset is returned when Group receives a nil dataset.
@@ -109,6 +112,31 @@ func fromComponents(components [][]int) Grouping {
 	g := Grouping{Groups: components}
 	g.normalize()
 	return g
+}
+
+// unionEdges is the pair pass of the threshold groupers (AG-TS, AG-TR and
+// Combo): every account pair i < j goes once through an edge predicate on
+// the parallel.Pairwise worker pool, and each accepted pair is unioned
+// into one union-find as it is found, so neither the pair values nor the
+// graph are ever materialized. setup builds one predicate per worker, so
+// it may own scratch buffers. Unions take a mutex, which stays cold
+// because edges are rare. The components of an edge set do not depend on
+// the order its edges are found in, so the partition is identical at any
+// GOMAXPROCS.
+func unionEdges(ctx context.Context, n int, setup func() func(i, j int) bool) (*graph.UnionFind, error) {
+	uf := graph.NewUnionFind(n)
+	var mu sync.Mutex
+	err := parallel.Pairwise(ctx, n, func() func(i, j int) {
+		edge := setup()
+		return func(i, j int) {
+			if edge(i, j) {
+				mu.Lock()
+				uf.Union(i, j)
+				mu.Unlock()
+			}
+		}
+	})
+	return uf, err
 }
 
 // Grouper is an account grouping method: the AG(D, F) step of Algorithm 2.

@@ -1,6 +1,7 @@
 package grouping
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -182,6 +183,9 @@ func TestAGTRIdleAccountsStaySingletons(t *testing.T) {
 	}
 	if g.NumGroups() != 2 {
 		t.Errorf("idle accounts grouped: %v", g.Groups)
+	}
+	if d := (AGTR{}).Dissimilarity(ds, 0, 1); !math.IsInf(d, 1) {
+		t.Errorf("dissimilarity of two idle accounts = %v, want +Inf", d)
 	}
 }
 

@@ -20,8 +20,8 @@ func withProcs(t *testing.T, procs int, fn func()) {
 
 // TestGroupingParallelMatchesSequential pins the determinism guarantee of
 // the parallel pairwise engine: every grouping method returns an identical
-// partition at GOMAXPROCS=1 and GOMAXPROCS=8, because each pair's matrix
-// slot is preassigned and thresholding scans in row-major order.
+// partition at GOMAXPROCS=1 and GOMAXPROCS=8, because the components of an
+// edge set do not depend on the order the workers union its edges in.
 func TestGroupingParallelMatchesSequential(t *testing.T) {
 	sc, err := simulate.Build(simulate.Config{Seed: 21, NumLegit: 30, SybilActiveness: 0.8})
 	if err != nil {
@@ -59,9 +59,10 @@ func TestGroupingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAGTRPairwiseMatchesDissimilarity checks that the packed matrix the
-// parallel engine computes agrees with the per-pair Dissimilarity API the
-// walkthrough experiments use.
+// TestAGTRPairwiseMatchesDissimilarity checks that the edges the parallel
+// pair pass unions agree with the per-pair Dissimilarity API the
+// walkthrough experiments use (TestThresholdGroupingMatchesOracle checks
+// full equality).
 func TestAGTRPairwiseMatchesDissimilarity(t *testing.T) {
 	sc, err := simulate.Build(simulate.Config{Seed: 5, NumLegit: 6})
 	if err != nil {

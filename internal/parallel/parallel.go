@@ -1,13 +1,15 @@
 // Package parallel is the shared worker-pool substrate for the framework's
 // embarrassingly parallel loops: independent experiment trials, k-means
-// restarts and k-sweeps, and the O(n²) pairwise dissimilarity/affinity
-// matrices of the account grouping methods.
+// restarts and k-sweeps (ForEach), and the O(n²) pair passes of the
+// threshold grouping methods (Pairwise).
 //
-// Every helper here preserves determinism by construction: callers write
-// results into preassigned per-index slots and reduce them in index order,
-// so the output is bit-identical regardless of GOMAXPROCS or goroutine
-// scheduling. The helpers themselves never reorder, sum, or otherwise
-// combine caller data.
+// Neither helper reorders, sums, or otherwise combines caller data, so
+// determinism rests on how callers record results: ForEach callers write
+// into preassigned per-index slots and reduce them in index order, and
+// Pairwise callers combine pair results in an order-independent way (the
+// grouping methods union edges, and the components of an edge set do not
+// depend on the order its edges are found in). Either way the output is
+// bit-identical regardless of GOMAXPROCS or goroutine scheduling.
 package parallel
 
 import (
@@ -94,153 +96,70 @@ func ForEach(n int, fn func(i int) error) error {
 	return firstErr
 }
 
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
-// no further indices are handed out (invocations already in flight run to
-// completion) and the context's error is returned. fn errors still win
-// over the context error when they were recorded first.
-func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
+// Pairwise calls f(i, j) once for every unordered pair 0 <= i < j < n. The
+// strict upper triangle is cut in row-major order ((0,1), (0,2), ...,
+// (n-2,n-1)) into one contiguous range per worker, up to GOMAXPROCS of
+// them. setup runs once in each worker and returns the pair function for
+// that worker's range, so f may own scratch buffers that are expensive to
+// allocate per pair and unsafe to share (e.g. a dtw.Calculator).
+//
+// Cancellation is cooperative: each worker refreshes ctx at a small stride
+// of pairs and stops picking up pairs once any worker has seen it done (a
+// single f call is never interrupted), and the context's error is
+// returned. A nil error means every pair was visited.
+func Pairwise(ctx context.Context, n int, setup func() func(i, j int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	err := ForEach(n, func(i int) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return fn(i)
-	})
-	return err
-}
-
-// Pairwise invokes f(i, j, k) for every unordered pair 0 <= i < j < n,
-// where k = PairIndex(n, i, j) is the pair's row-major rank in the strict
-// upper triangle. The triangle is sharded across up to GOMAXPROCS workers
-// in contiguous k-ranges, so each pair is visited exactly once; f typically
-// writes its result into slot k of a preallocated packed matrix, which
-// keeps the output bit-identical to the sequential double loop.
-func Pairwise(n int, f func(i, j, k int)) {
-	PairwiseWorkers(n, func() func(i, j, k int) { return f })
-}
-
-// PairwiseWorkers is Pairwise with per-worker state: setup runs once in
-// each worker goroutine and returns the pair function applied to that
-// worker's share of the triangle. Use it when f needs scratch buffers that
-// are expensive to allocate per pair and unsafe to share across workers
-// (e.g. a dtw.Calculator).
-func PairwiseWorkers(n int, setup func() func(i, j, k int)) {
 	total := n * (n - 1) / 2
 	if total <= 0 {
-		return
+		return nil
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > total {
 		workers = total
 	}
 	observePool("pairwise", total, workers)
-	if workers <= 1 {
+	var stopped atomic.Bool
+	const stride = 16 // pairs between ctx.Err() refreshes per worker
+	visit := func(lo, hi int) {
 		f := setup()
-		k := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				f(i, j, k)
-				k++
+		i, j := pairAt(n, lo)
+		for k := lo; k < hi && !stopped.Load(); k++ {
+			if (k-lo+1)%stride == 0 && ctx.Err() != nil {
+				stopped.Store(true)
+				return
+			}
+			f(i, j)
+			if j++; j == n {
+				i++
+				j = i + 1
 			}
 		}
-		return
+	}
+	if workers <= 1 {
+		visit(0, total)
+		return ctx.Err()
 	}
 	chunk := (total + workers - 1) / workers
 	busy := busyWorkers()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < total; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			busy.Add(1)
 			defer busy.Add(-1)
-			f := setup()
-			i, j := PairAt(n, lo)
-			for k := lo; k < hi; k++ {
-				f(i, j, k)
-				j++
-				if j == n {
-					i++
-					j = i + 1
-				}
-			}
-		}(lo, hi)
+			visit(lo, hi)
+		}(lo, min(lo+chunk, total))
 	}
 	wg.Wait()
+	return ctx.Err()
 }
 
-// PairwiseCtx is Pairwise with cooperative cancellation: workers stop
-// picking up pairs shortly after ctx is done and the context's error is
-// returned. Pairs already visited keep their written results, so a caller
-// that sees a nil error has the complete, bit-identical matrix.
-func PairwiseCtx(ctx context.Context, n int, f func(i, j, k int)) error {
-	return PairwiseWorkersCtx(ctx, n, func() func(i, j, k int) { return f })
-}
-
-// PairwiseWorkersCtx is PairwiseWorkers with cooperative cancellation.
-// Cancellation is observed between pairs (a single f invocation is never
-// interrupted); the check is a shared atomic flag refreshed from ctx at a
-// small stride, so the per-pair overhead stays negligible under the DTW
-// inner loops.
-func PairwiseWorkersCtx(ctx context.Context, n int, setup func() func(i, j, k int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var stopped atomic.Bool
-	const stride = 16 // pairs between ctx.Err() refreshes per worker
-	PairwiseWorkers(n, func() func(i, j, k int) {
-		f := setup()
-		sinceCheck := 0
-		return func(i, j, k int) {
-			if stopped.Load() {
-				return
-			}
-			if sinceCheck++; sinceCheck >= stride {
-				sinceCheck = 0
-				if ctx.Err() != nil {
-					stopped.Store(true)
-					return
-				}
-			}
-			f(i, j, k)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stopped.Load() {
-		return context.Canceled
-	}
-	return nil
-}
-
-// NumPairs returns the number of unordered pairs over n items, i.e. the
-// length of a packed strict-upper-triangle matrix.
-func NumPairs(n int) int {
-	if n < 2 {
-		return 0
-	}
-	return n * (n - 1) / 2
-}
-
-// PairIndex returns the row-major rank of the pair (i, j), i < j, in the
-// strict upper triangle of an n×n matrix: (0,1), (0,2), ..., (n-2,n-1).
-func PairIndex(n, i, j int) int {
-	return i*(2*n-i-1)/2 + (j - i - 1)
-}
-
-// PairAt inverts PairIndex: it returns the k-th pair in row-major order.
-func PairAt(n, k int) (i, j int) {
+// pairAt returns the k-th pair of the strict upper triangle of an n×n
+// matrix in row-major order: the first pair of a worker's range.
+func pairAt(n, k int) (i, j int) {
 	for rowLen := n - 1; k >= rowLen && rowLen > 0; rowLen-- {
 		k -= rowLen
 		i++

@@ -8,77 +8,24 @@ import (
 	"time"
 )
 
-func TestForEachCtxCompletesWithoutCancellation(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEachCtx(context.Background(), 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != 4950 {
-		t.Fatalf("sum = %d, want 4950", got)
-	}
-}
-
-func TestForEachCtxStopsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	err := ForEachCtx(ctx, 10_000, func(i int) error {
-		if ran.Add(1) == 5 {
-			cancel()
-		}
-		time.Sleep(100 * time.Microsecond)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := ran.Load(); got == 10_000 {
-		t.Fatal("cancellation did not stop the loop early")
-	}
-}
-
-func TestForEachCtxPreCancelledRunsNothing(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	err := ForEachCtx(ctx, 100, func(i int) error {
-		ran.Add(1)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("pre-cancelled context still ran %d items", ran.Load())
-	}
-}
-
-func TestForEachCtxFnErrorWins(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := ForEachCtx(context.Background(), 50, func(i int) error {
-		if i == 3 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want the fn error", err)
-	}
+// visitEach adapts a shared pair function to Pairwise's per-worker setup.
+func visitEach(f func(i, j int)) func() func(i, j int) {
+	return func() func(i, j int) { return f }
 }
 
 func TestPairwiseCtxCompleteMatrixOnNilError(t *testing.T) {
 	const n = 40
-	visited := make([]atomic.Int32, NumPairs(n))
-	if err := PairwiseCtx(context.Background(), n, func(i, j, k int) {
-		visited[k].Add(1)
-	}); err != nil {
+	var visited [n][n]atomic.Int32
+	if err := Pairwise(context.Background(), n, visitEach(func(i, j int) {
+		visited[i][j].Add(1)
+	})); err != nil {
 		t.Fatal(err)
 	}
-	for k := range visited {
-		if got := visited[k].Load(); got != 1 {
-			t.Fatalf("pair %d visited %d times, want exactly 1", k, got)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if got := visited[i][j].Load(); got != 1 {
+				t.Fatalf("pair (%d,%d) visited %d times, want exactly 1", i, j, got)
+			}
 		}
 	}
 }
@@ -92,10 +39,10 @@ func TestPairwiseCtxStopsOnCancel(t *testing.T) {
 	var visited atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- PairwiseCtx(ctx, n, func(i, j, k int) {
+		done <- Pairwise(ctx, n, visitEach(func(i, j int) {
 			visited.Add(1)
 			time.Sleep(50 * time.Microsecond)
-		})
+		}))
 	}()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
@@ -105,9 +52,9 @@ func TestPairwiseCtxStopsOnCancel(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("PairwiseCtx did not return after cancellation — stranded workers")
+		t.Fatal("Pairwise did not return after cancellation — stranded workers")
 	}
-	if got := visited.Load(); got >= int64(NumPairs(n)) {
+	if got := visited.Load(); got >= n*(n-1)/2 {
 		t.Fatalf("all %d pairs visited despite cancellation", got)
 	}
 }
@@ -116,9 +63,7 @@ func TestPairwiseWorkersCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var visited atomic.Int64
-	err := PairwiseWorkersCtx(ctx, 100, func() func(i, j, k int) {
-		return func(i, j, k int) { visited.Add(1) }
-	})
+	err := Pairwise(ctx, 100, visitEach(func(i, j int) { visited.Add(1) }))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -130,9 +75,9 @@ func TestPairwiseWorkersCtxPreCancelled(t *testing.T) {
 func TestPairwiseCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	err := PairwiseCtx(ctx, 512, func(i, j, k int) {
+	err := Pairwise(ctx, 512, visitEach(func(i, j int) {
 		time.Sleep(20 * time.Microsecond)
-	})
+	}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

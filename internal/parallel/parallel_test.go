@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -114,19 +115,27 @@ func TestPairwiseCoversTriangleOnce(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		for _, n := range []int{0, 1, 2, 3, 7, 20} {
 			withProcs(t, procs, func() {
-				hits := make([]int32, NumPairs(n))
-				Pairwise(n, func(i, j, k int) {
-					if i < 0 || i >= j || j >= n {
-						t.Errorf("bad pair (%d,%d)", i, j)
+				hits := make([][]int32, n)
+				for i := range hits {
+					hits[i] = make([]int32, n)
+				}
+				err := Pairwise(context.Background(), n, func() func(i, j int) {
+					return func(i, j int) {
+						if i < 0 || i >= j || j >= n {
+							t.Errorf("bad pair (%d,%d)", i, j)
+							return
+						}
+						atomic.AddInt32(&hits[i][j], 1)
 					}
-					if want := PairIndex(n, i, j); k != want {
-						t.Errorf("pair (%d,%d) got k=%d, want %d", i, j, k, want)
-					}
-					atomic.AddInt32(&hits[k], 1)
 				})
-				for k, h := range hits {
-					if h != 1 {
-						t.Errorf("procs=%d n=%d: pair %d visited %d times", procs, n, k, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					for j := i + 1; j < n; j++ {
+						if h := hits[i][j]; h != 1 {
+							t.Errorf("procs=%d n=%d: pair (%d,%d) visited %d times", procs, n, i, j, h)
+						}
 					}
 				}
 			})
@@ -138,41 +147,43 @@ func TestPairwiseWorkersSetupPerWorker(t *testing.T) {
 	withProcs(t, 4, func() {
 		var setups int32
 		var mu sync.Mutex
-		seen := map[int]bool{}
-		PairwiseWorkers(100, func() func(i, j, k int) {
+		seen := map[[2]int]bool{}
+		err := Pairwise(context.Background(), 100, func() func(i, j int) {
 			atomic.AddInt32(&setups, 1)
-			return func(i, j, k int) {
+			return func(i, j int) {
 				mu.Lock()
-				seen[k] = true
+				seen[[2]int{i, j}] = true
 				mu.Unlock()
 			}
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if s := atomic.LoadInt32(&setups); s < 1 || s > 4 {
 			t.Errorf("setup ran %d times, want 1..4", s)
 		}
-		if len(seen) != NumPairs(100) {
-			t.Errorf("visited %d pairs, want %d", len(seen), NumPairs(100))
+		if want := 100 * 99 / 2; len(seen) != want {
+			t.Errorf("visited %d pairs, want %d", len(seen), want)
 		}
 	})
 }
 
+// TestPairIndexRoundTrip checks pairAt, which maps a worker's first row-major
+// rank back to its pair, against the row-major enumeration.
 func TestPairIndexRoundTrip(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 11} {
 		k := 0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if got := PairIndex(n, i, j); got != k {
-					t.Fatalf("PairIndex(%d,%d,%d) = %d, want %d", n, i, j, got, k)
-				}
-				gi, gj := PairAt(n, k)
+				gi, gj := pairAt(n, k)
 				if gi != i || gj != j {
-					t.Fatalf("PairAt(%d,%d) = (%d,%d), want (%d,%d)", n, k, gi, gj, i, j)
+					t.Fatalf("pairAt(%d,%d) = (%d,%d), want (%d,%d)", n, k, gi, gj, i, j)
 				}
 				k++
 			}
 		}
-		if NumPairs(n) != k {
-			t.Fatalf("NumPairs(%d) = %d, want %d", n, NumPairs(n), k)
+		if want := n * (n - 1) / 2; k != want {
+			t.Fatalf("n=%d: enumerated %d pairs, want %d", n, k, want)
 		}
 	}
 }
