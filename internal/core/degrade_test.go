@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -135,4 +136,64 @@ type singletonGrouper struct{ n int }
 func (singletonGrouper) Name() string { return "AG-Singleton" }
 func (g singletonGrouper) Group(*mcs.Dataset) (grouping.Grouping, error) {
 	return grouping.Singletons(g.n), nil
+}
+
+// cancelAtRound cancels its context from the Iteration callback of the
+// given truth-loop round.
+type cancelAtRound struct {
+	round  int
+	cancel context.CancelFunc
+}
+
+func (cancelAtRound) SpanStart(string)              {}
+func (cancelAtRound) SpanEnd(string, time.Duration) {}
+func (o cancelAtRound) Iteration(_ string, iter int, _ float64) {
+	if iter == o.round {
+		o.cancel()
+	}
+}
+
+// TestTruthLoopCancellationDegrades: a context cancelled during round 2
+// stops the truth loop before round 3; the run answers with the estimates
+// of two full rounds — exactly what a two-round cap produces — flagged
+// truth_loop_cancelled.
+func TestTruthLoopCancellationDegrades(t *testing.T) {
+	ds := truth.PaperExampleWithSybil()
+	oracle := oracleGrouper{groups: [][]int{{0}, {1}, {2}, {3, 4, 5}}}
+
+	full, err := Framework{Grouper: oracle}.Run(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Iterations <= 2 {
+		t.Fatalf("uncancelled run took %d rounds; the test needs more than 2", full.Iterations)
+	}
+	twoRounds, err := Framework{Grouper: oracle, Config: Config{MaxIterations: 2}}.Run(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fw := Framework{Grouper: oracle, Config: Config{Observer: cancelAtRound{round: 2, cancel: cancel}}}
+	res, err := fw.RunContext(ctx, ds)
+	if err != nil {
+		t.Fatalf("truth-loop cancellation must degrade, not error: %v", err)
+	}
+	if res.Iterations != 2 || res.Converged {
+		t.Errorf("iterations = %d converged = %v, want 2 rounds, not converged", res.Iterations, res.Converged)
+	}
+	if !res.Degraded || res.DegradedReason != "truth_loop_cancelled" {
+		t.Errorf("Degraded=%v reason=%q, want truth_loop_cancelled", res.Degraded, res.DegradedReason)
+	}
+	for j := range res.Truths {
+		if math.Float64bits(res.Truths[j]) != math.Float64bits(twoRounds.Truths[j]) {
+			t.Errorf("task %d: cancelled %v, two-round cap %v", j, res.Truths[j], twoRounds.Truths[j])
+		}
+	}
+	for i := range res.Weights {
+		if math.Float64bits(res.Weights[i]) != math.Float64bits(twoRounds.Weights[i]) {
+			t.Errorf("account %d: cancelled weight %v, two-round cap %v", i, res.Weights[i], twoRounds.Weights[i])
+		}
+	}
 }

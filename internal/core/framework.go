@@ -2,9 +2,10 @@
 // Sybil-resistant truth discovery framework of Algorithm 2. The framework
 // first partitions accounts with a pluggable account grouping method
 // (internal/grouping), collapses each group's data to a single value per
-// task, and then runs the iterative weight/truth estimation loop at the
-// granularity of groups, so that a Sybil attacker's many accounts count as
-// one voice no matter how many accounts it creates.
+// task, and then runs the iterative weight/truth estimation loop of
+// internal/truth (truth.Loop) with groups as its sources, so that a Sybil
+// attacker's many accounts count as one voice no matter how many accounts
+// it creates.
 package core
 
 import (
@@ -12,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sybiltd/internal/grouping"
@@ -232,158 +234,40 @@ func (f Framework) RunDetailedContext(ctx context.Context, ds *mcs.Dataset) (tru
 	}
 
 	m := ds.NumTasks()
-	l := g.NumGroups()
 
 	// Data grouping (lines 2-6): for each task, collapse each group's
 	// values to one aggregate (Eq. 3 strategy) and compute the initial
 	// anti-Sybil weight of Eq. (4).
 	span = tr.Span("group_aggregation")
-	groupValues, initWeights, err := groupData(ds, g, cfg.Aggregator)
+	claims, initWeights, err := groupData(ds, g, cfg.Aggregator)
 	span.End()
 	if err != nil {
 		return truth.Result{}, grouping.Grouping{}, err
 	}
-
 	// Truth initialization (Eq. 5).
-	truths := make([]float64, m)
-	hasData := make([]bool, m)
-	for j := 0; j < m; j++ {
-		var num, den, sum float64
-		var count int
-		for k := 0; k < l; k++ {
-			v, ok := groupValues[k][j]
-			if !ok {
-				continue
-			}
-			w := initWeights[k][j]
-			num += w * v
-			den += w
-			sum += v
-			count++
-		}
-		switch {
-		case count == 0:
-			truths[j] = math.NaN()
-		case den == 0:
-			// Every group weight clamped to zero (e.g. one group covers
-			// all submitters): fall back to the plain average of group
-			// aggregates, which is still Sybil-diminished.
-			truths[j] = sum / float64(count)
-			hasData[j] = true
-		default:
-			truths[j] = num / den
-			hasData[j] = true
-		}
-	}
-
+	truths := startTruths(claims, initWeights, m)
 	// Per-task scale normalizers over group aggregates, as CRH does over
 	// raw values.
-	std := make([]float64, m)
-	for j := 0; j < m; j++ {
-		var vals []float64
-		for k := 0; k < l; k++ {
-			if v, ok := groupValues[k][j]; ok {
-				vals = append(vals, v)
-			}
-		}
-		s := signal.StdDev(vals)
-		if s < 1e-9 {
-			s = 1e-9
-		}
-		std[j] = s
-	}
+	norm := truth.StdNormalizer(truth.TaskValues(claims, m))
 
-	// Iterative group weight / truth estimation (lines 8-15).
+	// Iterative group weight / truth estimation (lines 8-15). Cancellation
+	// between rounds hands back the current estimates, flagged degraded,
+	// instead of blocking past the caller's deadline.
 	span = tr.Span("truth_loop")
-	weights := make([]float64, l)
-	losses := make([]float64, l)
-	converged := false
-	var iter int
-	for iter = 1; iter <= cfg.MaxIterations; iter++ {
-		// Cooperative cancellation between rounds: hand back the current
-		// estimates (flagged degraded) instead of blocking past the
-		// caller's deadline.
-		if ctx.Err() != nil {
-			if !degraded {
-				degraded, degradedReason = true, "truth_loop_cancelled"
-				obs.Default().Counter("framework.degraded").Inc()
-				obs.Default().Counter("framework.degraded.truth_loop_cancelled").Inc()
-			}
-			iter--
-			break
-		}
-		var totalLoss float64
-		for k := 0; k < l; k++ {
-			var loss float64
-			empty := true
-			for j := 0; j < m; j++ {
-				v, ok := groupValues[k][j]
-				if !ok || !hasData[j] {
-					continue
-				}
-				empty = false
-				d := v - truths[j]
-				loss += d * d / std[j]
-			}
-			if empty {
-				losses[k] = -1 // marker: group contributed nothing
-				continue
-			}
-			if loss < cfg.LossFloor {
-				loss = cfg.LossFloor
-			}
-			losses[k] = loss
-			totalLoss += loss
-		}
-		for k := 0; k < l; k++ {
-			if losses[k] < 0 {
-				weights[k] = 0
-				continue
-			}
-			w := math.Log(totalLoss / losses[k])
-			if w < 0 {
-				w = 0
-			}
-			weights[k] = w
-		}
-
-		maxDelta := 0.0
-		for j := 0; j < m; j++ {
-			if !hasData[j] {
-				continue
-			}
-			var num, den, sum float64
-			var count int
-			for k := 0; k < l; k++ {
-				v, ok := groupValues[k][j]
-				if !ok {
-					continue
-				}
-				num += weights[k] * v
-				den += weights[k]
-				sum += v
-				count++
-			}
-			var next float64
-			if den == 0 {
-				next = sum / float64(count)
-			} else {
-				next = num / den
-			}
-			if d := math.Abs(next - truths[j]); d > maxDelta {
-				maxDelta = d
-			}
-			truths[j] = next
-		}
-		tr.Iteration("truth_loop", iter, maxDelta)
-		if maxDelta < cfg.Tolerance {
-			converged = true
-			break
-		}
-	}
+	weights := make([]float64, len(claims))
+	iter, converged, err := truth.Loop{
+		Sources:       claims,
+		Norm:          norm,
+		Rule:          truth.LogRatio(cfg.LossFloor, false),
+		MaxIterations: cfg.MaxIterations,
+		Tolerance:     cfg.Tolerance,
+		OnRound:       func(round int, delta float64) { tr.Iteration("truth_loop", round, delta) },
+	}.Run(ctx, truths, weights)
 	span.End()
-	if iter > cfg.MaxIterations {
-		iter = cfg.MaxIterations
+	if err != nil && !degraded {
+		degraded, degradedReason = true, "truth_loop_cancelled"
+		obs.Default().Counter("framework.degraded").Inc()
+		obs.Default().Counter("framework.degraded.truth_loop_cancelled").Inc()
 	}
 	obs.Default().Histogram("framework.iterations").Observe(float64(iter))
 	if converged {
@@ -407,46 +291,85 @@ func (f Framework) RunDetailedContext(ctx context.Context, ds *mcs.Dataset) (tru
 	}, g, nil
 }
 
-// groupData collapses per-account observations into per-group per-task
-// aggregates and the Eq. (4) initial weights.
-//
-// groupValues[k][j] is group k's aggregate for task j (present only when
-// some member reported on j); initWeights[k][j] is the Eq. (4) weight
-// 1 − |g_k|/|U_j| clamped at 0 (|g_k| is the full group size per the
-// paper; a group larger than a task's submitter set is maximally
-// suspicious for that task).
-func groupData(ds *mcs.Dataset, g grouping.Grouping, agg Aggregator) (groupValues []map[int]float64, initWeights []map[int]float64, err error) {
-	m := ds.NumTasks()
-	subs := ds.Submitters()
-
-	groupValues = make([]map[int]float64, g.NumGroups())
-	initWeights = make([]map[int]float64, g.NumGroups())
+// groupData collapses per-account observations into one claim per group
+// and task — the group's aggregate, in task order — and the Eq. (4)
+// initial weight of each claim, 1 − |g_k|/|U_j| clamped at 0 (|g_k| is
+// the full group size per the paper; a group larger than a task's
+// submitter set is maximally suspicious for that task).
+func groupData(ds *mcs.Dataset, g grouping.Grouping, agg Aggregator) (claims [][]truth.Claim, initWeights [][]float64, err error) {
+	submitters := make([]int, ds.NumTasks())
+	total := 0
+	for ai := range ds.Accounts {
+		for _, o := range ds.Accounts[ai].Observations {
+			submitters[o.Task]++
+		}
+		total += len(ds.Accounts[ai].Observations)
+	}
+	// A group has at most one claim per observation of its members.
+	flatClaims := make([]truth.Claim, 0, total)
+	flatWeights := make([]float64, 0, total)
+	claims = make([][]truth.Claim, g.NumGroups())
+	initWeights = make([][]float64, g.NumGroups())
+	perTask := make([][]float64, ds.NumTasks())
+	var tasks []int
 	for k, members := range g.Groups {
-		groupValues[k] = make(map[int]float64)
-		initWeights[k] = make(map[int]float64)
 		// Collect members' values per task.
-		perTask := make(map[int][]float64)
+		tasks = tasks[:0]
 		for _, a := range members {
 			for _, o := range ds.Accounts[a].Observations {
+				if len(perTask[o.Task]) == 0 {
+					tasks = append(tasks, o.Task)
+				}
 				perTask[o.Task] = append(perTask[o.Task], o.Value)
 			}
 		}
-		for j, vals := range perTask {
-			v, aggErr := aggregate(vals, agg)
+		slices.Sort(tasks)
+		start := len(flatClaims)
+		for _, j := range tasks {
+			v, aggErr := aggregate(perTask[j], agg)
 			if aggErr != nil {
 				return nil, nil, fmt.Errorf("core: group %d task %d: %w", k, j, aggErr)
 			}
-			groupValues[k][j] = v
-			if j >= 0 && j < m && len(subs[j]) > 0 {
-				w := 1 - float64(len(members))/float64(len(subs[j]))
-				if w < 0 {
-					w = 0
-				}
-				initWeights[k][j] = w
-			}
+			perTask[j] = perTask[j][:0]
+			flatClaims = append(flatClaims, truth.Claim{Task: j, Value: v, Scale: 1})
+			flatWeights = append(flatWeights, max(1-float64(len(members))/float64(submitters[j]), 0))
+		}
+		claims[k], initWeights[k] = flatClaims[start:], flatWeights[start:]
+	}
+	return claims, initWeights, nil
+}
+
+// startTruths is the truth initialization of Eq. (5): each task's mean of
+// group aggregates weighted by their Eq. (4) weights, NaN when no group
+// reported. When every weight is clamped to zero (e.g. one group covers
+// all submitters) it falls back to the plain average of group aggregates,
+// which is still Sybil-diminished.
+func startTruths(claims [][]truth.Claim, initWeights [][]float64, m int) []float64 {
+	num := make([]float64, m)
+	den := make([]float64, m)
+	sum := make([]float64, m)
+	count := make([]int, m)
+	for k, groupClaims := range claims {
+		for c, cl := range groupClaims {
+			w := initWeights[k][c]
+			num[cl.Task] += w * cl.Value
+			den[cl.Task] += w
+			sum[cl.Task] += cl.Value
+			count[cl.Task]++
 		}
 	}
-	return groupValues, initWeights, nil
+	truths := make([]float64, m)
+	for j := range truths {
+		switch {
+		case count[j] == 0:
+			truths[j] = math.NaN()
+		case den[j] == 0:
+			truths[j] = sum[j] / float64(count[j])
+		default:
+			truths[j] = num[j] / den[j]
+		}
+	}
+	return truths
 }
 
 // aggregate collapses one group's values for one task.

@@ -7,6 +7,7 @@ import (
 
 	"sybiltd/internal/grouping"
 	"sybiltd/internal/mcs"
+	"sybiltd/internal/obs"
 	"sybiltd/internal/truth"
 )
 
@@ -119,6 +120,26 @@ func TestFrameworkOracleGrouping(t *testing.T) {
 		if math.Abs(res.Truths[j]-honest.Truths[j]) > 12 {
 			t.Errorf("T%d = %.2f, honest %.2f: grouping did not protect", j+1, res.Truths[j], honest.Truths[j])
 		}
+	}
+}
+
+// TestFrameworkNegativeMaxIterationsRunsNoRounds: a negative cap runs no
+// round of the group-level loop, and Iterations reports 0 — in the result
+// and in the framework.iterations histogram.
+func TestFrameworkNegativeMaxIterationsRunsNoRounds(t *testing.T) {
+	h := obs.Default().Histogram("framework.iterations")
+	before := h.Snapshot()
+	res, err := Framework{Grouper: grouping.AGTS{}, Config: Config{MaxIterations: -1}}.Run(truth.PaperExampleWithSybil())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != 0 || res.Converged {
+		t.Errorf("iterations = %d converged = %v, want 0 rounds, not converged", res.Iterations, res.Converged)
+	}
+	after := h.Snapshot()
+	if after.Count != before.Count+1 || after.Sum != before.Sum {
+		t.Errorf("framework.iterations recorded sum %v -> %v over %d -> %d runs, want one run of 0 rounds",
+			before.Sum, after.Sum, before.Count, after.Count)
 	}
 }
 

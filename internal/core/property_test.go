@@ -9,6 +9,7 @@ import (
 
 	"sybiltd/internal/grouping"
 	"sybiltd/internal/mcs"
+	"sybiltd/internal/truth"
 )
 
 // randomDataset builds a small random campaign with a random (but valid)
@@ -49,45 +50,33 @@ func randomDataset(seed int64) (*mcs.Dataset, grouping.Grouping) {
 	return ds, grouping.Grouping{Groups: nonEmpty}
 }
 
-// Property: for every task with data, the framework's estimate lies within
-// the hull [min, max] of the submitted values (it is a weighted mean of
-// group aggregates, which are themselves means/medians of values), and all
-// account weights are finite and non-negative.
+// Property: for every task with data, the estimate of every user of the
+// weight/truth loop — the framework and CRH, CATD and GTM — lies within the
+// hull [min, max] of the submitted values (it is a weighted mean of group
+// aggregates or of values, and aggregates are themselves means/medians of
+// values), tasks nobody reported stay NaN, and all account weights are
+// finite and non-negative. An account whose group (for CRH, CATD and GTM:
+// the account alone) has no observations gets weight 0.
 func TestFrameworkEstimateWithinHullProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		ds, g := randomDataset(seed)
-		fw := Framework{Grouper: oracleGrouper{groups: g.Groups}}
-		res, err := fw.Run(ds)
-		if err != nil {
-			return false
-		}
-		for j := 0; j < ds.NumTasks(); j++ {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			any := false
-			for ai := range ds.Accounts {
-				if v, ok := ds.Value(ai, j); ok {
-					any = true
-					if v < lo {
-						lo = v
-					}
-					if v > hi {
-						hi = v
-					}
-				}
-			}
-			est := res.Truths[j]
-			if !any {
-				if !math.IsNaN(est) {
-					return false
-				}
-				continue
-			}
-			if math.IsNaN(est) || est < lo-1e-9 || est > hi+1e-9 {
+		singletons := grouping.Singletons(ds.NumAccounts()).Groups
+		for _, c := range []struct {
+			alg    truth.Algorithm
+			groups [][]int
+		}{
+			{Framework{Grouper: oracleGrouper{groups: g.Groups}}, g.Groups},
+			{truth.CRH{}, singletons},
+			{truth.CATD{}, singletons},
+			{truth.GTM{}, singletons},
+		} {
+			res, err := c.alg.Run(ds)
+			if err != nil {
+				t.Logf("%s: %v", c.alg.Name(), err)
 				return false
 			}
-		}
-		for _, w := range res.Weights {
-			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			if !estimatesWithinHull(ds, res) || !idleGroupsWeightless(ds, c.groups, res.Weights) {
+				t.Logf("%s fails on seed %d", c.alg.Name(), seed)
 				return false
 			}
 		}
@@ -96,6 +85,59 @@ func TestFrameworkEstimateWithinHullProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+func estimatesWithinHull(ds *mcs.Dataset, res truth.Result) bool {
+	for j := 0; j < ds.NumTasks(); j++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		any := false
+		for ai := range ds.Accounts {
+			if v, ok := ds.Value(ai, j); ok {
+				any = true
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+		}
+		est := res.Truths[j]
+		if !any {
+			if !math.IsNaN(est) {
+				return false
+			}
+			continue
+		}
+		if math.IsNaN(est) || est < lo-1e-9 || est > hi+1e-9 {
+			return false
+		}
+	}
+	for _, w := range res.Weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// idleGroupsWeightless reports whether every member of every group whose
+// members all have no observations has weight 0.
+func idleGroupsWeightless(ds *mcs.Dataset, groups [][]int, weights []float64) bool {
+	for _, members := range groups {
+		idle := true
+		for _, a := range members {
+			if len(ds.Accounts[a].Observations) > 0 {
+				idle = false
+			}
+		}
+		for _, a := range members {
+			if idle && weights[a] != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Property: merging the Sybil accounts into a group never increases the

@@ -2,7 +2,6 @@ package truth
 
 import (
 	"fmt"
-	"math"
 
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
@@ -53,42 +52,15 @@ func (c CATD) Run(ds *mcs.Dataset) (Result, error) {
 		tol = 1e-6
 	}
 
-	n := ds.NumAccounts()
-	m := ds.NumTasks()
-	vals := valuesByTask(ds)
-
-	std := make([]float64, m)
-	for j := range std {
-		s := signal.StdDev(vals[j])
-		if s < 1e-9 {
-			s = 1e-9
-		}
-		std[j] = s
-	}
-
-	truths := make([]float64, m)
-	hasData := make([]bool, m)
-	for j := range truths {
-		if len(vals[j]) == 0 {
-			truths[j] = math.NaN()
-			continue
-		}
-		med, err := signal.Median(vals[j])
-		if err != nil {
-			return Result{}, fmt.Errorf("truth: CATD init task %d: %w", j, err)
-		}
-		truths[j] = med
-		hasData[j] = true
-	}
+	sources, values, truths := loopInputs(ds)
 
 	// Per-source chi-squared numerators (depend only on claim counts).
-	chi := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ni := len(ds.Accounts[i].Observations)
-		if ni == 0 {
+	chi := make([]float64, len(sources))
+	for i, claims := range sources {
+		if len(claims) == 0 {
 			continue
 		}
-		q, err := signal.ChiSquaredQuantile(alpha/2, ni)
+		q, err := signal.ChiSquaredQuantile(alpha/2, len(claims))
 		if err != nil {
 			return Result{}, fmt.Errorf("truth: CATD chi² for source %d: %w", i, err)
 		}
@@ -99,78 +71,23 @@ func (c CATD) Run(ds *mcs.Dataset) (Result, error) {
 		}
 		chi[i] = q
 	}
-
-	type report struct {
-		acct  int
-		value float64
-	}
-	reportsByTask := make([][]report, m)
-	for ai := range ds.Accounts {
-		for _, o := range ds.Accounts[ai].Observations {
-			reportsByTask[o.Task] = append(reportsByTask[o.Task], report{acct: ai, value: o.Value})
-		}
-	}
-
-	weights := make([]float64, n)
-	converged := false
-	var iter int
-	for iter = 1; iter <= maxIter; iter++ {
-		for i := 0; i < n; i++ {
-			if len(ds.Accounts[i].Observations) == 0 {
-				weights[i] = 0
-				continue
-			}
-			var loss float64
-			var cnt int
-			for _, o := range ds.Accounts[i].Observations {
-				if !hasData[o.Task] {
-					continue
-				}
-				d := o.Value - truths[o.Task]
-				loss += d * d / std[o.Task]
-				cnt++
-			}
+	rule := func(losses []float64, counts []int, weights []float64) {
+		for i, loss := range losses {
 			// Floor the loss at a small normalized residual per claim, so
 			// a source whose few claims happen to sit exactly on the
 			// estimate cannot acquire unbounded weight — the situation the
-			// confidence interval exists to prevent.
-			if floor := float64(cnt)*1e-3 + 1e-9; loss < floor {
-				loss = floor
-			}
-			weights[i] = chi[i] / loss
-		}
-
-		maxDelta := 0.0
-		for j := 0; j < m; j++ {
-			if !hasData[j] {
-				continue
-			}
-			var num, den float64
-			for _, r := range reportsByTask[j] {
-				num += weights[r.acct] * r.value
-				den += weights[r.acct]
-			}
-			var next float64
-			if den == 0 {
-				next = signal.Mean(vals[j])
-			} else {
-				next = num / den
-			}
-			if d := math.Abs(next - truths[j]); d > maxDelta {
-				maxDelta = d
-			}
-			truths[j] = next
-		}
-		if maxDelta < tol {
-			converged = true
-			break
+			// confidence interval exists to prevent. A source without
+			// claims has chi 0, so weight 0.
+			weights[i] = chi[i] / max(loss, float64(counts[i])*1e-3+1e-9)
 		}
 	}
-	if iter > maxIter {
-		iter = maxIter
-	}
-	observeLoop("catd", iter, converged)
-	return Result{Truths: truths, Weights: weights, Iterations: iter, Converged: converged}, nil
+	return runLoop("catd", Loop{
+		Sources:       sources,
+		Norm:          StdNormalizer(values),
+		Rule:          rule,
+		MaxIterations: maxIter,
+		Tolerance:     tol,
+	}, truths, make([]float64, len(sources))), nil
 }
 
 var _ Algorithm = CATD{}

@@ -1,12 +1,8 @@
 package truth
 
 import (
-	"fmt"
-	"math"
-
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
-	"sybiltd/internal/signal"
 )
 
 // CRHConfig tunes the CRH iteration.
@@ -61,119 +57,14 @@ func (c CRH) Run(ds *mcs.Dataset) (Result, error) {
 	}
 	defer obs.Default().Timer("truth.crh.run_seconds").Start().Stop()
 	cfg := c.Config.withDefaults()
-
-	n := ds.NumAccounts()
-	m := ds.NumTasks()
-	vals := valuesByTask(ds)
-
-	// Per-task scale normalizer: population std of reported values,
-	// floored so single-report and zero-variance tasks stay usable.
-	std := make([]float64, m)
-	for j := range std {
-		s := signal.StdDev(vals[j])
-		if s < 1e-9 {
-			s = 1e-9
-		}
-		std[j] = s
-	}
-
-	truths := make([]float64, m)
-	hasData := make([]bool, m)
-	for j := range truths {
-		if len(vals[j]) == 0 {
-			truths[j] = math.NaN()
-			continue
-		}
-		med, err := signal.Median(vals[j])
-		if err != nil {
-			return Result{}, fmt.Errorf("truth: init task %d: %w", j, err)
-		}
-		truths[j] = med
-		hasData[j] = true
-	}
-
-	// Index observations by task once; the loop below is the hot path.
-	type report struct {
-		acct  int
-		value float64
-	}
-	reportsByTask := make([][]report, m)
-	for ai := range ds.Accounts {
-		for _, o := range ds.Accounts[ai].Observations {
-			reportsByTask[o.Task] = append(reportsByTask[o.Task], report{acct: ai, value: o.Value})
-		}
-	}
-
-	weights := uniformWeights(n)
-	losses := make([]float64, n)
-	var iter int
-	converged := false
-
-	for iter = 1; iter <= cfg.MaxIterations; iter++ {
-		// Weight estimation (Eq. 1 with CRH's W and D).
-		var totalLoss float64
-		for i := 0; i < n; i++ {
-			var loss float64
-			for _, o := range ds.Accounts[i].Observations {
-				if !hasData[o.Task] {
-					continue
-				}
-				d := o.Value - truths[o.Task]
-				loss += d * d / std[o.Task]
-			}
-			if loss < cfg.LossFloor {
-				loss = cfg.LossFloor
-			}
-			losses[i] = loss
-			totalLoss += loss
-		}
-		for i := 0; i < n; i++ {
-			if len(ds.Accounts[i].Observations) == 0 {
-				weights[i] = 0
-				continue
-			}
-			w := math.Log(totalLoss / losses[i])
-			if w < 0 {
-				// An account worse than the whole crowd combined still
-				// participates with negligible weight rather than a
-				// negative one, which would corrupt the weighted mean.
-				w = 0
-			}
-			weights[i] = w
-		}
-
-		// Truth estimation (Eq. 2).
-		maxDelta := 0.0
-		for j := 0; j < m; j++ {
-			if !hasData[j] {
-				continue
-			}
-			var num, den float64
-			for _, r := range reportsByTask[j] {
-				num += weights[r.acct] * r.value
-				den += weights[r.acct]
-			}
-			var next float64
-			if den == 0 {
-				next = signal.Mean(vals[j]) // all weights zero: fall back
-			} else {
-				next = num / den
-			}
-			if d := math.Abs(next - truths[j]); d > maxDelta {
-				maxDelta = d
-			}
-			truths[j] = next
-		}
-		if maxDelta < cfg.Tolerance {
-			converged = true
-			break
-		}
-	}
-	if iter > cfg.MaxIterations {
-		iter = cfg.MaxIterations
-	}
-	observeLoop("crh", iter, converged)
-	return Result{Truths: truths, Weights: weights, Iterations: iter, Converged: converged}, nil
+	sources, values, truths := loopInputs(ds)
+	return runLoop("crh", Loop{
+		Sources:       sources,
+		Norm:          StdNormalizer(values),
+		Rule:          LogRatio(cfg.LossFloor, true),
+		MaxIterations: cfg.MaxIterations,
+		Tolerance:     cfg.Tolerance,
+	}, truths, uniformWeights(ds.NumAccounts())), nil
 }
 
 var _ Algorithm = CRH{}

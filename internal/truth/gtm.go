@@ -1,8 +1,6 @@
 package truth
 
 import (
-	"math"
-
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
 	"sybiltd/internal/signal"
@@ -45,26 +43,11 @@ func (g GTM) Run(ds *mcs.Dataset) (Result, error) {
 		tol = 1e-6
 	}
 
-	n := ds.NumAccounts()
-	m := ds.NumTasks()
-	vals := valuesByTask(ds)
-
-	truths := make([]float64, m)
-	hasData := make([]bool, m)
+	sources, values, truths := loopInputs(ds)
 	var crowdVar float64
 	var varCount int
-	for j := range truths {
-		if len(vals[j]) == 0 {
-			truths[j] = math.NaN()
-			continue
-		}
-		med, err := signal.Median(vals[j])
-		if err != nil {
-			return Result{}, err
-		}
-		truths[j] = med
-		hasData[j] = true
-		if v := signal.Variance(vals[j]); v > 0 {
+	for _, vals := range values {
+		if v := signal.Variance(vals); v > 0 {
 			crowdVar += v
 			varCount++
 		}
@@ -85,89 +68,38 @@ func (g GTM) Run(ds *mcs.Dataset) (Result, error) {
 		beta = 2 * crowdVar
 	}
 
-	type report struct {
-		acct  int
-		value float64
-	}
-	reportsByTask := make([][]report, m)
-	for ai := range ds.Accounts {
-		for _, o := range ds.Accounts[ai].Observations {
-			reportsByTask[o.Task] = append(reportsByTask[o.Task], report{acct: ai, value: o.Value})
+	// Sources weigh by precision, the inverse of their variance; every
+	// variance starts at the crowd's.
+	weights := make([]float64, len(sources))
+	for i, claims := range sources {
+		if len(claims) > 0 {
+			weights[i] = 1 / crowdVar
 		}
 	}
-
-	variances := make([]float64, n)
-	for i := range variances {
-		variances[i] = crowdVar
-	}
-	converged := false
-	var iter int
-	for iter = 1; iter <= maxIter; iter++ {
-		// M-step: per-source variance posterior mean under IG(alpha, beta):
-		// (beta + SSR/2) / (alpha + n_i/2 - 1).
-		for i := 0; i < n; i++ {
-			obs := ds.Accounts[i].Observations
-			if len(obs) == 0 {
-				variances[i] = crowdVar
+	// M-step: per-source variance posterior mean under IG(alpha, beta),
+	// (beta + SSR/2) / (alpha + n_i/2 - 1), over unnormalized residuals.
+	// The loop's truth step is the E-step: precision-weighted means.
+	rule := func(ssr []float64, counts []int, weights []float64) {
+		for i := range ssr {
+			if counts[i] == 0 {
+				weights[i] = 0
 				continue
 			}
-			var ssr float64
-			var cnt int
-			for _, o := range obs {
-				if !hasData[o.Task] {
-					continue
-				}
-				d := o.Value - truths[o.Task]
-				ssr += d * d
-				cnt++
-			}
-			den := alpha + float64(cnt)/2 - 1
-			if den < 0.5 {
-				den = 0.5
-			}
-			v := (beta + ssr/2) / den
-			if v < 1e-9 {
-				v = 1e-9
-			}
-			variances[i] = v
-		}
-
-		// E-step: truths as precision-weighted means.
-		maxDelta := 0.0
-		for j := 0; j < m; j++ {
-			if !hasData[j] {
-				continue
-			}
-			var num, den float64
-			for _, r := range reportsByTask[j] {
-				w := 1 / variances[r.acct]
-				num += w * r.value
-				den += w
-			}
-			next := num / den
-			if d := math.Abs(next - truths[j]); d > maxDelta {
-				maxDelta = d
-			}
-			truths[j] = next
-		}
-		if maxDelta < tol {
-			converged = true
-			break
+			den := max(alpha+float64(counts[i])/2-1, 0.5)
+			weights[i] = 1 / max((beta+ssr[i]/2)/den, 1e-9)
 		}
 	}
-	if iter > maxIter {
-		iter = maxIter
+	unit := make([]float64, ds.NumTasks())
+	for j := range unit {
+		unit[j] = 1
 	}
-	observeLoop("gtm", iter, converged)
-
-	weights := make([]float64, n)
-	for i := range weights {
-		if len(ds.Accounts[i].Observations) == 0 {
-			continue
-		}
-		weights[i] = 1 / variances[i]
-	}
-	return Result{Truths: truths, Weights: weights, Iterations: iter, Converged: converged}, nil
+	return runLoop("gtm", Loop{
+		Sources:       sources,
+		Norm:          unit,
+		Rule:          rule,
+		MaxIterations: maxIter,
+		Tolerance:     tol,
+	}, truths, weights), nil
 }
 
 var _ Algorithm = GTM{}

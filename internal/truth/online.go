@@ -1,11 +1,12 @@
 package truth
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-
-	"sybiltd/internal/signal"
+	"slices"
+	"strings"
 )
 
 // Online is an evolving-truth estimator in the spirit of "On the discovery
@@ -147,14 +148,20 @@ func (o *Online) Round() int { return o.round }
 
 // Estimate refines and returns the current truth estimates. Tasks that
 // have never been observed stay NaN. The returned slice is a copy.
+//
+// The refinement is the shared Loop with CRH's log-ratio weights, warm-
+// started from the previous estimates (fresh tasks start at their
+// median), over the live accounts in ID order with each observation's
+// claim scaled by its recency. The fixed order makes the estimate a
+// function of the held reports alone, whatever order they arrived in.
 func (o *Online) Estimate() []float64 {
-	type rep struct {
+	type source struct {
 		account string
-		value   float64
-		recency float64
+		claims  []Claim
 	}
-	byTask := make([][]rep, o.numTasks)
+	live := make([]source, 0, len(o.latest))
 	for account, obs := range o.latest {
+		claims := make([]Claim, 0, len(obs))
 		for task, ob := range obs {
 			recency := o.recency(ob)
 			if recency < recencyFloor {
@@ -164,103 +171,31 @@ func (o *Online) Estimate() []float64 {
 				delete(obs, task)
 				continue
 			}
-			byTask[task] = append(byTask[task], rep{account: account, value: ob.value, recency: recency})
+			claims = append(claims, Claim{Task: task, Value: ob.value, Scale: recency})
 		}
 		if len(obs) == 0 {
 			delete(o.latest, account)
-		}
-	}
-
-	// Warm-start truths; initialize fresh tasks from their recency-weighted
-	// median-ish mean.
-	std := make([]float64, o.numTasks)
-	for j := range byTask {
-		if len(byTask[j]) == 0 {
 			continue
 		}
-		vals := make([]float64, len(byTask[j]))
-		for k, r := range byTask[j] {
-			vals[k] = r.value
-		}
-		s := signal.StdDev(vals)
-		if s < 1e-9 {
-			s = 1e-9
-		}
-		std[j] = s
-		if math.IsNaN(o.truths[j]) {
-			med, err := signal.Median(vals)
-			if err == nil {
-				o.truths[j] = med
-			}
-		}
+		slices.SortFunc(claims, func(a, b Claim) int { return a.Task - b.Task })
+		live = append(live, source{account, claims})
 	}
-
-	losses := make(map[string]float64, len(o.latest))
-	for iter := 0; iter < o.maxIter; iter++ {
-		// Weight estimation with recency-discounted losses.
-		var total float64
-		for account := range o.latest {
-			losses[account] = 0
-		}
-		counted := make(map[string]bool, len(o.latest))
-		for j, reps := range byTask {
-			if math.IsNaN(o.truths[j]) {
-				continue
-			}
-			for _, r := range reps {
-				d := r.value - o.truths[j]
-				losses[r.account] += r.recency * d * d / std[j]
-				counted[r.account] = true
-			}
-		}
-		for account := range counted {
-			if losses[account] < 1e-9 {
-				losses[account] = 1e-9
-			}
-			total += losses[account]
-		}
-
-		weight := func(account string) float64 {
-			if !counted[account] {
-				return 0
-			}
-			w := math.Log(total / losses[account])
-			if w < 0 {
-				w = 0
-			}
-			return w
-		}
-
-		// Truth estimation.
-		maxDelta := 0.0
-		for j, reps := range byTask {
-			if len(reps) == 0 {
-				continue
-			}
-			var num, den, sum float64
-			for _, r := range reps {
-				w := weight(r.account) * r.recency
-				num += w * r.value
-				den += w
-				sum += r.value
-			}
-			var next float64
-			if den == 0 {
-				next = sum / float64(len(reps))
-			} else {
-				next = num / den
-			}
-			if !math.IsNaN(o.truths[j]) {
-				if d := math.Abs(next - o.truths[j]); d > maxDelta {
-					maxDelta = d
-				}
-			}
-			o.truths[j] = next
-		}
-		if maxDelta < o.tol {
-			break
-		}
+	slices.SortFunc(live, func(a, b source) int { return strings.Compare(a.account, b.account) })
+	sources := make([][]Claim, len(live))
+	for i, s := range live {
+		sources[i] = s.claims
 	}
+	values := TaskValues(sources, o.numTasks)
+	medianStart(o.truths, values)
+	// The context never ends, so Run returns no error; Online reports no
+	// round count.
+	_, _, _ = Loop{
+		Sources:       sources,
+		Norm:          StdNormalizer(values),
+		Rule:          LogRatio(1e-9, false),
+		MaxIterations: o.maxIter,
+		Tolerance:     o.tol,
+	}.Run(context.TODO(), o.truths, make([]float64, len(sources)))
 
 	out := make([]float64, o.numTasks)
 	copy(out, o.truths)

@@ -3,6 +3,7 @@ package truth
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -145,5 +146,56 @@ func TestOnlinePruneBoundsSteadyStateSize(t *testing.T) {
 	}
 	if o.NumAccounts() == 0 {
 		t.Error("NumAccounts = 0, recent accounts must remain live")
+	}
+}
+
+// TestOnlineEstimateIsDeterministic: two estimators fed the same reports
+// in different Observe orders hold the same state, so they must return
+// bit-identical estimates round after round. Summing over Go maps in
+// iteration order made them disagree in the last bits.
+func TestOnlineEstimateIsDeterministic(t *testing.T) {
+	const accounts, tasks = 200, 5
+	a, err := NewOnline(tasks, OnlineConfig{Decay: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewOnline(tasks, OnlineConfig{Decay: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	type report struct {
+		account string
+		task    int
+		value   float64
+	}
+	for round := 0; round < 4; round++ {
+		var reports []report
+		for u := 0; u < accounts; u++ {
+			for j := 0; j < tasks; j++ {
+				if rng.Float64() < 0.6 {
+					reports = append(reports, report{fmt.Sprintf("acct-%03d", u), j, -70 + float64(j) + rng.NormFloat64()*(1+float64(u%7))})
+				}
+			}
+		}
+		for _, r := range reports {
+			if err := a.Observe(r.account, r.task, r.value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range rng.Perm(len(reports)) {
+			r := reports[k]
+			if err := b.Observe(r.account, r.task, r.value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ea, eb := a.Estimate(), b.Estimate()
+		for j := range ea {
+			if math.Float64bits(ea[j]) != math.Float64bits(eb[j]) {
+				t.Fatalf("round %d task %d: %v vs %v (%#x vs %#x)", round, j, ea[j], eb[j], math.Float64bits(ea[j]), math.Float64bits(eb[j]))
+			}
+		}
+		a.Tick()
+		b.Tick()
 	}
 }

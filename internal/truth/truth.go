@@ -1,7 +1,10 @@
 // Package truth implements the truth-discovery substrate of the paper's
 // §III-B: the general iterative weight-estimation / truth-estimation loop
-// of Algorithm 1, with CRH (Li et al., SIGMOD 2014) as the representative
-// instance, plus naive mean and median aggregation baselines.
+// of Algorithm 1 as one Loop, with CRH (Li et al., SIGMOD 2014) as the
+// representative instance. CATD, GTM, the streaming Online estimator and
+// the framework of internal/core run the same Loop and differ only in
+// their weight rule and starting truths. Naive mean and median
+// aggregation baselines complete the set.
 //
 // All algorithms consume an mcs.Dataset and produce a Result with one
 // estimated truth per task. Tasks nobody reported on get NaN truths; the
@@ -102,7 +105,7 @@ func (Mean) Run(ds *mcs.Dataset) (Result, error) {
 		return Result{}, err
 	}
 	truths := make([]float64, ds.NumTasks())
-	for j, vals := range valuesByTask(ds) {
+	for j, vals := range TaskValues(accountClaims(ds), ds.NumTasks()) {
 		if len(vals) == 0 {
 			truths[j] = math.NaN()
 			continue
@@ -124,18 +127,9 @@ func (Median) Run(ds *mcs.Dataset) (Result, error) {
 	if err := validate(ds); err != nil {
 		return Result{}, err
 	}
-	truths := make([]float64, ds.NumTasks())
-	for j, vals := range valuesByTask(ds) {
-		if len(vals) == 0 {
-			truths[j] = math.NaN()
-			continue
-		}
-		med, err := signal.Median(vals)
-		if err != nil {
-			return Result{}, fmt.Errorf("truth: median of task %d: %w", j, err)
-		}
-		truths[j] = med
-	}
+	// The per-task medians are exactly where the iterative algorithms
+	// start.
+	_, _, truths := loopInputs(ds)
 	return Result{Truths: truths, Weights: uniformWeights(ds.NumAccounts()), Iterations: 1, Converged: true}, nil
 }
 
@@ -158,17 +152,6 @@ func uniformWeights(n int) []float64 {
 		w[i] = 1
 	}
 	return w
-}
-
-// valuesByTask collects the reported values per task index.
-func valuesByTask(ds *mcs.Dataset) [][]float64 {
-	vals := make([][]float64, ds.NumTasks())
-	for ai := range ds.Accounts {
-		for _, o := range ds.Accounts[ai].Observations {
-			vals[o.Task] = append(vals[o.Task], o.Value)
-		}
-	}
-	return vals
 }
 
 var (

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sybiltd/internal/mcs"
+	"sybiltd/internal/obs"
 )
 
 func obsAt(task int, value float64) mcs.Observation {
@@ -194,6 +195,39 @@ func TestCRHRespectsMaxIterations(t *testing.T) {
 	}
 	if res.Iterations != 1 {
 		t.Errorf("iterations = %d, want 1", res.Iterations)
+	}
+}
+
+// TestNegativeMaxIterationsRunsNoRounds: a negative cap runs no round,
+// and Iterations (documented as the rounds performed) reports 0 — in the
+// result and in the iteration histogram.
+func TestNegativeMaxIterationsRunsNoRounds(t *testing.T) {
+	ds := PaperExampleWithSybil()
+	for _, c := range []struct {
+		metric string
+		alg    Algorithm
+	}{
+		{"truth.crh.iterations", CRH{Config: CRHConfig{MaxIterations: -1}}},
+		{"truth.catd.iterations", CATD{MaxIterations: -3}},
+		{"truth.gtm.iterations", GTM{MaxIterations: -2}},
+	} {
+		h := obs.Default().Histogram(c.metric)
+		before := h.Snapshot()
+		res, err := c.alg.Run(ds)
+		if err != nil {
+			t.Fatalf("%s: %v", c.alg.Name(), err)
+		}
+		if res.Iterations != 0 {
+			t.Errorf("%s: iterations = %d, want 0", c.alg.Name(), res.Iterations)
+		}
+		if res.Converged {
+			t.Errorf("%s: converged without running a round", c.alg.Name())
+		}
+		after := h.Snapshot()
+		if after.Count != before.Count+1 || after.Sum != before.Sum {
+			t.Errorf("%s: %s recorded sum %v -> %v over %d -> %d runs, want one run of 0 rounds",
+				c.alg.Name(), c.metric, before.Sum, after.Sum, before.Count, after.Count)
+		}
 	}
 }
 
