@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify perfbench-check loc bench bench-ingest bench-stream fuzz recovery chaos stream shard replication reshard shrink
+.PHONY: build test race vet fmt verify perfbench-check fma-check loc bench bench-grouping bench-ingest bench-stream fuzz recovery chaos stream shard replication reshard shrink
 
 build:
 	$(GO) build ./...
@@ -89,11 +89,27 @@ perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
+# Fused multiply-add check. A product that is rounded before it is summed
+# (written float64(x*y)) gives the same bits on every GOARCH; a fused
+# x*y+z does not, and in the DTW kernel it could even put a distance below
+# its endpoint bound, which the AG-TR pair pass prunes by. This builds the
+# packages below with their assembly listing for the four GOARCHes whose
+# compilers fuse, and fails on any fused multiply-add or multiply-subtract.
+FMA_PKGS := ./internal/dtw ./internal/grouping
+fma-check:
+	@for arch in arm64 ppc64le s390x riscv64; do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
+		echo "$$asm" | grep -q 'dtw\.(\*Calculator)\.Distance STEXT' || { echo "fma-check: no $$arch assembly listing"; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '\bFN?M(ADD|SUB)[A-Z]*\b'); \
+		if [ -n "$$fused" ]; then echo "fma-check: fused instructions on $$arch:"; echo "$$fused"; exit 1; fi; \
+	done; \
+	echo "fma-check: no fused multiply-add in $(FMA_PKGS) on arm64, ppc64le, s390x, riscv64"
+
 # The suite targets above are -run filters over packages that race already
 # covers in full (no test is gated by a build tag or an environment
 # variable), so verify runs each test under -race once; they stay for
 # focused local runs.
-verify: build fmt vet test race perfbench-check
+verify: build fmt vet test race perfbench-check fma-check
 
 # Source size per package: non-blank, non-comment lines of the non-test .go
 # files (tracked or new, not ignored), then the total.
@@ -106,6 +122,13 @@ loc:
 # grouping scaling benchmark (see EXPERIMENTS.md for a curated run).
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Threshold-grouping benchmarks, one iteration each: the 500-account AG-TR
+# pass at GOMAXPROCS 1, 2, 4 and 8, which fails if any partition differs
+# from the sequential one, and the AG-TR/AG-TS size sweep at 500 and 2,000
+# accounts (drop -short to add 8,000).
+bench-grouping:
+	$(GO) test -short -run '^$$' -bench 'AGTRGrouping500|ThresholdGroupingSweep' -benchtime=1x .
 
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDistance -fuzztime=30s ./internal/dtw/

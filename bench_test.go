@@ -21,6 +21,7 @@ import (
 	"sybiltd/internal/core"
 	"sybiltd/internal/experiment"
 	"sybiltd/internal/grouping"
+	"sybiltd/internal/obs"
 	"sybiltd/internal/simulate"
 	"sybiltd/internal/truth"
 )
@@ -364,6 +365,58 @@ func BenchmarkAGTRGrouping500(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkThresholdGroupingSweep times the two threshold groupers, AG-TR
+// (φ = 0.3) and AG-TS (ρ = 1), on campaigns of 500, 2,000 and 8,000
+// accounts: legitimate users plus the two default attackers with 5 accounts
+// each, Sybil activeness 0.8, simulate seed 11. Each campaign is built
+// before its timers start; the 8,000-account build alone takes seconds, so
+// -short skips that size. Besides ns/op (series or bitsets, pair pass and
+// components), each case reports pairpass-ms, the pair pass alone as the
+// grouper's own timer measures it; AG-TR also reports bound-pruned-%, the
+// share of pairs its endpoint bound rejects before any DTW.
+func BenchmarkThresholdGroupingSweep(b *testing.B) {
+	reg := obs.Default()
+	groupers := []struct {
+		g     grouping.Grouper
+		timer string
+	}{
+		{grouping.AGTR{Phi: 0.3}, "grouping.agtr.distance_matrix_seconds"},
+		{grouping.AGTS{Rho: 1}, "grouping.agts.affinity_matrix_seconds"},
+	}
+	for _, accounts := range []int{500, 2000, 8000} {
+		var sc *simulate.Scenario
+		for _, gr := range groupers {
+			b.Run(fmt.Sprintf("%s/accounts=%d", gr.g.Name(), accounts), func(b *testing.B) {
+				if accounts > 2000 && testing.Short() {
+					b.Skip("8,000-account campaign skipped under -short")
+				}
+				if sc == nil {
+					var err error
+					if sc, err = simulate.Build(simulate.Config{Seed: 11, NumLegit: accounts - 10, SybilActiveness: 0.8}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				timer := reg.Timer(gr.timer).Histogram()
+				pruned := reg.Counter("grouping.agtr.pairs_pruned_bound")
+				sum0, pruned0 := timer.Snapshot().Sum, pruned.Value()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := gr.g.Group(sc.Dataset); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric((timer.Snapshot().Sum-sum0)*1e3/float64(b.N), "pairpass-ms")
+				if _, ok := gr.g.(grouping.AGTR); ok {
+					pairs := float64(accounts) * float64(accounts-1) / 2
+					b.ReportMetric(float64(pruned.Value()-pruned0)*100/(pairs*float64(b.N)), "bound-pruned-%")
+				}
+			})
+		}
 	}
 }
 

@@ -3,10 +3,10 @@ package dtw
 import "math"
 
 // Calculator computes DTW distances with owned, reusable DP rows. The free
-// functions Distance, WindowedDistance and AbsoluteCost allocate four
-// slices per call, which dominates the allocation profile of the O(n²)
-// pairwise loops in account grouping; a Calculator amortizes that to
-// (roughly) one allocation per worker for a whole grouping run.
+// functions Distance and AbsoluteCost allocate four slices per call, which
+// dominates the allocation profile of the O(n²) pairwise loops in account
+// grouping; a Calculator amortizes that to (roughly) one allocation per
+// worker for a whole grouping run.
 //
 // A Calculator is not safe for concurrent use: give each worker goroutine
 // its own (see the per-worker setup of parallel.Pairwise). The zero value
@@ -34,31 +34,12 @@ func (c *Calculator) grow(size int) {
 	c.curLen = c.curLen[:size]
 }
 
-// Distance is the reusable-buffer equivalent of the package-level Distance.
+// Distance is the reusable-buffer equivalent of the package-level Distance;
+// see that function for the conventions.
 func (c *Calculator) Distance(a, b []float64) float64 {
-	return c.WindowedDistance(a, b, 0)
-}
-
-// WindowedDistance is the reusable-buffer equivalent of the package-level
-// WindowedDistance; see that function for the algorithm and conventions.
-func (c *Calculator) WindowedDistance(a, b []float64, window int) float64 {
 	m, n := len(a), len(b)
-	switch {
-	case m == 0 && n == 0:
-		return 0
-	case m == 0 || n == 0:
-		return math.Inf(1)
-	}
-	if window <= 0 || window >= m+n {
-		window = m + n // effectively unconstrained
-	}
-	if d := m - n; d < 0 {
-		d = -d
-		if window < d {
-			window = d
-		}
-	} else if window < d {
-		window = d
+	if d, ok := empty(m, n); ok {
+		return d
 	}
 
 	// Rolling two-row DP over cumulative cost r(i,j) =
@@ -76,20 +57,14 @@ func (c *Calculator) WindowedDistance(a, b []float64, window int) float64 {
 	prev[0] = 0
 
 	for i := 1; i <= m; i++ {
-		for j := 0; j <= n; j++ {
-			cur[j] = inf
-			curLen[j] = 0
-		}
-		lo, hi := i-window, i+window
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > n {
-			hi = n
-		}
-		for j := lo; j <= hi; j++ {
+		cur[0], curLen[0] = inf, 0
+		for j := 1; j <= n; j++ {
 			d := a[i-1] - b[j-1]
-			cost := d * d
+			// The explicit conversion rounds the square before the sum
+			// below, so no GOARCH fuses them into one multiply-add: the
+			// result is the same on every architecture, and never below
+			// the endpoint bound, which rounds the same way.
+			cost := float64(d * d)
 			// Candidates: diagonal, up (from prev row), left (same row).
 			// Minimize (cost, pathLen) lexicographically: among equal-cost
 			// paths the shortest is kept, which makes the normalized
@@ -105,14 +80,15 @@ func (c *Calculator) WindowedDistance(a, b []float64, window int) float64 {
 				bestLen = curLen[j-1]
 			}
 			if math.IsInf(bestCost, 1) {
+				cur[j], curLen[j] = inf, 0
 				continue
 			}
 			cur[j] = bestCost + cost
 			curLen[j] = bestLen + 1
 		}
-		// Special case: cell (1, j) can start from r(0,0) only via the
-		// diagonal when j==1; the loop above already handles it because
-		// prev[0] = 0 for i == 1. For i > 1, prev[0] must be inf.
+		// Cell (1, j) can start from r(0,0) only via the diagonal when
+		// j == 1, which prev[0] = 0 provides for i == 1. For i > 1, prev[0]
+		// must be inf.
 		prev, cur = cur, prev
 		prevLen, curLen = curLen, prevLen
 		prev[0] = inf
@@ -129,11 +105,8 @@ func (c *Calculator) WindowedDistance(a, b []float64, window int) float64 {
 // AbsoluteCost; see that function for the algorithm and conventions.
 func (c *Calculator) AbsoluteCost(a, b []float64) float64 {
 	m, n := len(a), len(b)
-	switch {
-	case m == 0 && n == 0:
-		return 0
-	case m == 0 || n == 0:
-		return math.Inf(1)
+	if d, ok := empty(m, n); ok {
+		return d
 	}
 	inf := math.Inf(1)
 	c.grow(n + 1)

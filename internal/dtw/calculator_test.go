@@ -23,13 +23,6 @@ func TestCalculatorMatchesFreeFunctions(t *testing.T) {
 	for _, la := range lengths {
 		for _, lb := range lengths {
 			a, b := series(la), series(lb)
-			for _, window := range []int{0, 1, 3, la + lb} {
-				want := WindowedDistance(a, b, window)
-				got := calc.WindowedDistance(a, b, window)
-				if got != want && !(got != got && want != want) {
-					t.Fatalf("WindowedDistance(len %d, len %d, w=%d): calculator %v != free %v", la, lb, window, got, want)
-				}
-			}
 			if got, want := calc.Distance(a, b), Distance(a, b); got != want {
 				t.Fatalf("Distance(len %d, len %d): calculator %v != free %v", la, lb, got, want)
 			}

@@ -8,7 +8,14 @@
 // length-normalized root-mean-square alignment cost. Length normalization
 // matters here because account trajectories differ in length with account
 // activeness, and an unnormalized cost would conflate "long trajectory"
-// with "dissimilar trajectory".
+// with "dissimilar trajectory". AbsoluteCost is the unnormalized
+// absolute-distance cost that the paper's Fig. 4 tabulates.
+//
+// Each DTW has an endpoint lower bound (DistanceBound, AbsoluteCostBound)
+// that reads only the series' first and last values and lengths, so a pair
+// pass can skip the O(mn) DP for pairs the bound already rules out. The
+// bounds round like the DP, so in floating point too a bound never exceeds
+// its DTW.
 package dtw
 
 import (
@@ -18,70 +25,63 @@ import (
 // Distance returns the normalized DTW distance between series a and b with
 // an unconstrained warping window. Empty series follow the convention:
 // both empty -> 0; exactly one empty -> +Inf (nothing can align).
-func Distance(a, b []float64) float64 {
-	return WindowedDistance(a, b, 0)
-}
-
-// WindowedDistance is Distance with a Sakoe-Chiba band of half-width
-// window: cell (i, j) is admissible only when |i-j| <= window. window <= 0
-// (or wider than the length difference requires) means unconstrained.
-// The band is automatically widened to |len(a)-len(b)| so that a path
-// always exists.
 //
-// The DP lives in Calculator.WindowedDistance; this wrapper allocates a
-// fresh Calculator per call. Hot pairwise loops should hold a per-worker
+// The DP lives in Calculator.Distance; this wrapper allocates a fresh
+// Calculator per call. Hot pairwise loops should hold a per-worker
 // Calculator instead.
-func WindowedDistance(a, b []float64, window int) float64 {
+func Distance(a, b []float64) float64 {
 	var c Calculator
-	return c.WindowedDistance(a, b, window)
+	return c.Distance(a, b)
 }
 
-// Path computes the optimal warping path between a and b (unconstrained)
-// and returns it as index pairs, along with the normalized distance. It
-// uses O(mn) memory and is intended for diagnostics and tests rather than
-// the hot grouping loop.
-func Path(a, b []float64) (pairs [][2]int, distance float64) {
-	m, n := len(a), len(b)
-	if m == 0 || n == 0 {
-		if m == 0 && n == 0 {
-			return nil, 0
-		}
-		return nil, math.Inf(1)
+// Ends is what the endpoint lower bounds read of a series: its first and
+// last values and its length.
+type Ends struct {
+	First, Last float64
+	Len         int
+}
+
+// EndsOf returns the ends of s; an empty s has Len 0.
+func EndsOf(s []float64) Ends {
+	if len(s) == 0 {
+		return Ends{}
 	}
-	inf := math.Inf(1)
-	r := make([][]float64, m+1)
-	for i := range r {
-		r[i] = make([]float64, n+1)
-		for j := range r[i] {
-			r[i][j] = inf
-		}
+	return Ends{First: s[0], Last: s[len(s)-1], Len: len(s)}
+}
+
+// empty returns the DTW of a pair in which a series of length m or n is
+// empty, and whether one is: 0 when both are, +Inf when exactly one is.
+func empty(m, n int) (float64, bool) {
+	switch {
+	case m == 0 && n == 0:
+		return 0, true
+	case m == 0 || n == 0:
+		return math.Inf(1), true
 	}
-	r[0][0] = 0
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= n; j++ {
-			d := a[i-1] - b[j-1]
-			best := math.Min(r[i-1][j-1], math.Min(r[i-1][j], r[i][j-1]))
-			r[i][j] = d*d + best
-		}
+	return 0, false
+}
+
+// DistanceBound returns a lower bound on Distance(a, b) from the series'
+// ends alone, the UCR suite's LB_Kim (Rakthanmanon et al., KDD 2012):
+//
+//	sqrt((Δfirst² + Δlast²) / (m+n−1)) ≤ Distance(a, b).
+//
+// Every warping path holds both end cells and at most m+n−1 cells, and no
+// cell costs less than zero. When m = n = 1 the two ends are one cell, so
+// the bound keeps only the Δfirst term and equals the distance. The squares
+// are rounded exactly as the DP rounds its cell costs, and rounded
+// addition, division and square root are monotone, so the float bound
+// never exceeds the float distance either. Empty series follow Distance's
+// convention.
+func DistanceBound(a, b Ends) float64 {
+	if d, ok := empty(a.Len, b.Len); ok {
+		return d
 	}
-	// Backtrack preferring the diagonal on ties.
-	i, j := m, n
-	for i >= 1 && j >= 1 {
-		pairs = append(pairs, [2]int{i - 1, j - 1})
-		diag, up, left := r[i-1][j-1], r[i-1][j], r[i][j-1]
-		switch {
-		case diag <= up && diag <= left:
-			i--
-			j--
-		case up <= left:
-			i--
-		default:
-			j--
-		}
+	df := a.First - b.First
+	num := float64(df * df)
+	if a.Len > 1 || b.Len > 1 {
+		dl := a.Last - b.Last
+		num += float64(dl * dl)
 	}
-	// Reverse into path order.
-	for l, rIdx := 0, len(pairs)-1; l < rIdx; l, rIdx = l+1, rIdx-1 {
-		pairs[l], pairs[rIdx] = pairs[rIdx], pairs[l]
-	}
-	return pairs, math.Sqrt(r[m][n] / float64(len(pairs)))
+	return math.Sqrt(num / float64(a.Len+b.Len-1))
 }

@@ -97,104 +97,120 @@ func TestNonNegativityAndIdentityProperty(t *testing.T) {
 	}
 }
 
-func TestWindowedDistance(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := make([]float64, 40)
-	b := make([]float64, 40)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
-	}
-	unconstrained := Distance(a, b)
-	// A tighter band restricts the admissible paths, so the cost cannot
-	// decrease.
-	prev := unconstrained
-	for _, w := range []int{20, 10, 5, 2, 1} {
-		d := WindowedDistance(a, b, w)
-		if d+1e-9 < prev {
-			// Not strictly guaranteed for the *normalized* distance (the
-			// normalizer K also changes), but the fully constrained band
-			// w=0-equivalent must equal the pointwise RMS; sanity-check
-			// monotonic trend loosely.
-			t.Logf("window %d: %v (prev %v) — normalized distance dipped", w, d, prev)
+// bestPath is the exhaustive reference for the DP kernels: it walks every
+// warping path from (0, 0) to (m-1, n-1) with unit steps right, down and
+// diagonal, sums cost along each path in path order (the order the DP adds
+// in), and returns the minimum sum and, among paths with that sum, the
+// fewest cells. It shares no code with the kernels.
+func bestPath(m, n int, cost func(i, j int) float64) (sum float64, cells int) {
+	sum, cells = math.Inf(1), 0
+	var walk func(i, j int, acc float64, k int)
+	walk = func(i, j int, acc float64, k int) {
+		acc += cost(i, j)
+		k++
+		if i == m-1 && j == n-1 {
+			if acc < sum || (acc == sum && k < cells) {
+				sum, cells = acc, k
+			}
+			return
 		}
-		prev = d
-	}
-	// Band width 0 request on equal lengths collapses to the diagonal:
-	// pointwise RMS. (window <= 0 means unconstrained per contract, so use
-	// window 1 shrunk by equal lengths... use explicit tiny window.)
-	dBand := WindowedDistance(a, b, 1)
-	if math.IsInf(dBand, 0) {
-		t.Error("narrow band on equal-length series must stay finite")
-	}
-}
-
-func TestWindowWidensForLengthGap(t *testing.T) {
-	// window narrower than the length difference would make the path
-	// infeasible; the implementation must widen it.
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	b := []float64{1, 8}
-	if d := WindowedDistance(a, b, 1); math.IsInf(d, 0) {
-		t.Error("band must widen to keep a feasible path")
-	}
-}
-
-func TestPathProperties(t *testing.T) {
-	a := []float64{0, 1, 2, 3}
-	b := []float64{0, 2, 3}
-	pairs, d := Path(a, b)
-	if len(pairs) == 0 {
-		t.Fatal("empty path")
-	}
-	// Path endpoints.
-	if pairs[0] != [2]int{0, 0} {
-		t.Errorf("path start = %v, want (0,0)", pairs[0])
-	}
-	if last := pairs[len(pairs)-1]; last != [2]int{3, 2} {
-		t.Errorf("path end = %v, want (3,2)", last)
-	}
-	// Monotone, contiguous steps.
-	for i := 1; i < len(pairs); i++ {
-		di := pairs[i][0] - pairs[i-1][0]
-		dj := pairs[i][1] - pairs[i-1][1]
-		if di < 0 || dj < 0 || di > 1 || dj > 1 || (di == 0 && dj == 0) {
-			t.Errorf("illegal step %v -> %v", pairs[i-1], pairs[i])
+		if i+1 < m {
+			walk(i+1, j, acc, k)
+		}
+		if j+1 < n {
+			walk(i, j+1, acc, k)
+		}
+		if i+1 < m && j+1 < n {
+			walk(i+1, j+1, acc, k)
 		}
 	}
-	// Path length bound: max(m,n) <= K <= m+n-1.
-	if k := len(pairs); k < 4 || k > 6 {
-		t.Errorf("path length %d outside [4, 6]", k)
-	}
-	if d < 0 {
-		t.Errorf("distance = %v, want >= 0", d)
-	}
-	if _, d := Path(nil, nil); d != 0 {
-		t.Error("Path(nil,nil) distance should be 0")
-	}
-	if _, d := Path([]float64{1}, nil); !math.IsInf(d, 1) {
-		t.Error("Path with one empty side should be +Inf")
-	}
+	walk(0, 0, 0, 0)
+	return sum, cells
 }
 
-func TestDistanceMatchesPathOnRandomData(t *testing.T) {
+// TestKernelsMatchExhaustivePaths checks Distance and AbsoluteCost against
+// every warping path for all lengths m, n <= 6, bit for bit, and both
+// endpoint bounds against the same reference. Small-integer series make
+// many paths tie on cost, which exercises the shortest-path tie-break of
+// Eq. (7); Gaussian series exercise general rounding.
+func TestKernelsMatchExhaustivePaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		m := 1 + rng.Intn(20)
-		n := 1 + rng.Intn(20)
-		a := make([]float64, m)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
+	gens := []struct {
+		name string
+		draw func() float64
+	}{
+		{"small-int", func() float64 { return float64(rng.Intn(4)) }},
+		{"gaussian", rng.NormFloat64},
+	}
+	var calc Calculator
+	for _, gen := range gens {
+		name := gen.name
+		for m := 1; m <= 6; m++ {
+			for n := 1; n <= 6; n++ {
+				for trial := 0; trial < 20; trial++ {
+					a, b := make([]float64, m), make([]float64, n)
+					for i := range a {
+						a[i] = gen.draw()
+					}
+					for j := range b {
+						b[j] = gen.draw()
+					}
+					sq, cells := bestPath(m, n, func(i, j int) float64 {
+						d := a[i] - b[j]
+						return float64(d * d)
+					})
+					want := math.Sqrt(sq / float64(cells))
+					if got := calc.Distance(a, b); got != want {
+						t.Fatalf("%s %v vs %v: Distance = %v, exhaustive = %v", name, a, b, got, want)
+					}
+					abs, _ := bestPath(m, n, func(i, j int) float64 { return math.Abs(a[i] - b[j]) })
+					if got := calc.AbsoluteCost(a, b); got != abs {
+						t.Fatalf("%s %v vs %v: AbsoluteCost = %v, exhaustive = %v", name, a, b, got, abs)
+					}
+					ea, eb := EndsOf(a), EndsOf(b)
+					if lb := DistanceBound(ea, eb); lb > want {
+						t.Fatalf("%s %v vs %v: DistanceBound %v > exhaustive %v", name, a, b, lb, want)
+					}
+					if lb := AbsoluteCostBound(ea, eb); lb > abs {
+						t.Fatalf("%s %v vs %v: AbsoluteCostBound %v > exhaustive %v", name, a, b, lb, abs)
+					}
+				}
+			}
 		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
+	}
+}
+
+// TestBoundsNeverExceedDTW checks each endpoint bound against its DTW by
+// plain float comparison on random series of lengths 0..40, weighted
+// towards length 1. When the ends are every cell of the only warping path
+// (m + n <= 3), bound and DTW must be equal.
+func TestBoundsNeverExceedDTW(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	length := func() int {
+		if rng.Intn(3) == 0 {
+			return rng.Intn(2)
 		}
-		d1 := Distance(a, b)
-		_, d2 := Path(a, b)
-		// Both normalize by the optimal path length; random data has no
-		// exact ties, so they must agree.
-		if math.Abs(d1-d2) > 1e-9*(1+d1) {
-			t.Fatalf("trial %d: Distance=%v Path=%v", trial, d1, d2)
+		return rng.Intn(41)
+	}
+	series := func(n int) []float64 {
+		s := make([]float64, n)
+		scale := math.Pow(10, float64(rng.Intn(7)-3))
+		for i := range s {
+			s[i] = rng.NormFloat64() * scale
+		}
+		return s
+	}
+	var calc Calculator
+	for trial := 0; trial < 5000; trial++ {
+		a, b := series(length()), series(length())
+		ea, eb := EndsOf(a), EndsOf(b)
+		d, lb := calc.Distance(a, b), DistanceBound(ea, eb)
+		c, lc := calc.AbsoluteCost(a, b), AbsoluteCostBound(ea, eb)
+		if lb > d || lc > c {
+			t.Fatalf("len %d vs %d: DistanceBound %v vs Distance %v, AbsoluteCostBound %v vs AbsoluteCost %v", len(a), len(b), lb, d, lc, c)
+		}
+		if len(a)+len(b) <= 3 && (lb != d || lc != c) {
+			t.Fatalf("len %d vs %d: a one-path pair must have exact bounds: %v/%v, %v/%v", len(a), len(b), lb, d, lc, c)
 		}
 	}
 }
@@ -228,20 +244,5 @@ func BenchmarkDistance100x100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Distance(x, y)
-	}
-}
-
-func BenchmarkWindowedDistance100x100W10(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	x := make([]float64, 100)
-	y := make([]float64, 100)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WindowedDistance(x, y, 10)
 	}
 }

@@ -15,8 +15,9 @@ func bytesToSeries(bs []byte) []float64 {
 }
 
 // FuzzDistance checks DTW's metric-ish axioms on arbitrary series: no
-// panics, non-negativity, symmetry, identity, and agreement between the
-// windowed and unconstrained variants when the band covers everything.
+// panics, non-negativity, symmetry and identity; that neither endpoint
+// bound exceeds its DTW; and that a reused Calculator agrees with the free
+// functions.
 func FuzzDistance(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1})
 	f.Add([]byte{}, []byte{5})
@@ -54,25 +55,29 @@ func FuzzDistance(f *testing.F) {
 		if self := Distance(a, a); self != 0 {
 			t.Fatalf("Distance(a,a) = %v", self)
 		}
-		wide := WindowedDistance(a, b, len(a)+len(b))
-		if math.Abs(wide-d) > 1e-9*(1+d) {
-			t.Fatalf("wide window %v != unconstrained %v", wide, d)
-		}
-		if abs := AbsoluteCost(a, b); abs < 0 || math.IsNaN(abs) {
+		abs := AbsoluteCost(a, b)
+		if abs < 0 || math.IsNaN(abs) {
 			t.Fatalf("AbsoluteCost = %v", abs)
 		}
+		// The endpoint bounds must never exceed their DTW, with no
+		// tolerance: a bound above the DTW would let a pair pass drop an
+		// edge.
+		ea, eb := EndsOf(a), EndsOf(b)
+		if lb := DistanceBound(ea, eb); lb > d {
+			t.Fatalf("DistanceBound %v > Distance %v", lb, d)
+		}
+		if lb := AbsoluteCostBound(ea, eb); lb > abs {
+			t.Fatalf("AbsoluteCostBound %v > AbsoluteCost %v", lb, abs)
+		}
 		// A reused Calculator must agree bit-for-bit with the free
-		// functions on every input (buffer reuse across the three calls
+		// functions on every input (buffer reuse across the two calls
 		// exercises stale-state handling).
 		var calc Calculator
 		if cd := calc.Distance(a, b); cd != d {
 			t.Fatalf("Calculator.Distance = %v, free = %v", cd, d)
 		}
-		if cw, w := calc.WindowedDistance(a, b, 2), WindowedDistance(a, b, 2); cw != w {
-			t.Fatalf("Calculator.WindowedDistance = %v, free = %v", cw, w)
-		}
-		if ca, ab := calc.AbsoluteCost(a, b), AbsoluteCost(a, b); ca != ab {
-			t.Fatalf("Calculator.AbsoluteCost = %v, free = %v", ca, ab)
+		if ca := calc.AbsoluteCost(a, b); ca != abs {
+			t.Fatalf("Calculator.AbsoluteCost = %v, free = %v", ca, abs)
 		}
 	})
 }

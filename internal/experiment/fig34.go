@@ -39,24 +39,13 @@ func Fig3() (Fig3Result, error) {
 	}
 	agts := grouping.AGTS{}
 	for i := 0; i < n; i++ {
-		si := ds.Accounts[i].TaskSet()
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			sj := ds.Accounts[j].TaskSet()
-			var both, alone int
-			for t := range si {
-				if sj[t] {
-					both++
-				} else {
-					alone++
-				}
-			}
-			for t := range sj {
-				if !si[t] {
-					alone++
-				}
+			both, alone, err := agts.Overlap(ds, i, j)
+			if err != nil {
+				return Fig3Result{}, fmt.Errorf("experiment: fig3: %w", err)
 			}
 			r.T[i][j] = both
 			r.L[i][j] = alone

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"sybiltd/internal/dtw"
@@ -35,9 +36,10 @@ const (
 //
 //	D(i,j) = DTW(X_i, X_j) + DTW(Y_i, Y_j),
 //
-// is computed for every pair, pairs strictly below Phi become graph edges,
-// and connected components become groups; accounts with no observations
-// are never grouped. It defends against Attack-II even when most accounts
+// decides every pair: pairs strictly below Phi become graph edges, and
+// connected components become groups; accounts with no observations are
+// never grouped. The pair pass computes D only for pairs that endpoint
+// lower bounds on the two DTWs cannot already rule out. It defends against Attack-II even when most accounts
 // perform similar task sets, because the timestamp series still separates
 // independent users.
 type AGTR struct {
@@ -91,18 +93,48 @@ func (g AGTR) timeAxis(ds *mcs.Dataset) (time.Time, time.Duration) {
 	return origin, g.TimeUnit
 }
 
+// trMeasure is one DTW mode of AG-TR: its DP kernel and that kernel's
+// endpoint lower bound.
+type trMeasure struct {
+	dist  func(c *dtw.Calculator, a, b []float64) float64
+	bound func(a, b dtw.Ends) float64
+}
+
+// measure returns the DTW kernel and bound of g.Mode.
+func (g AGTR) measure() trMeasure {
+	if g.Mode == TRAbsolute {
+		return trMeasure{(*dtw.Calculator).AbsoluteCost, dtw.AbsoluteCostBound}
+	}
+	return trMeasure{(*dtw.Calculator).Distance, dtw.DistanceBound}
+}
+
 // dissimilarity is Eq. (8) over two accounts' task series x and timestamp
-// series y, through a caller-owned Calculator so the pair pass reuses DP
-// buffers. Dissimilarity and the grouping edge rule both call it, so the
-// public measure and the grouping cannot drift apart.
+// series y, through a caller-owned Calculator. The pair pass of
+// GroupContext adds the same two terms from the same measure, so the
+// public Dissimilarity and the grouping cannot drift apart.
 func (g AGTR) dissimilarity(c *dtw.Calculator, xi, yi, xj, yj []float64) float64 {
 	if len(xi) == 0 || len(xj) == 0 {
 		return math.Inf(1)
 	}
-	if g.Mode == TRAbsolute {
-		return c.AbsoluteCost(xi, xj) + c.AbsoluteCost(yi, yj)
-	}
-	return c.Distance(xi, xj) + c.Distance(yi, yj)
+	md := g.measure()
+	return md.dist(c, xi, xj) + md.dist(c, yi, yj)
+}
+
+// trAccount is what the AG-TR pair pass reads of one account: its two
+// series and their ends, which the endpoint bounds need.
+type trAccount struct {
+	tasks, times       []float64
+	taskEnds, timeEnds dtw.Ends
+}
+
+// trWorker is one pair-pass worker's state: its DP buffers and its counts
+// of how its pairs left the edge predicate. Workers count privately and
+// each worker's counts are published once, after the pass, because a
+// shared atomic per pair would cost about as much as the pruned pass
+// itself.
+type trWorker struct {
+	calc                                 dtw.Calculator
+	prunedBound, prunedTaskDTW, fullDTWs int64
 }
 
 // Group implements Grouper.
@@ -127,24 +159,67 @@ func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, erro
 		phi = DefaultPhi
 	}
 
-	// Precompute the series once; the pair pass is O(n²) DTW calls, run
-	// with one DTW calculator per worker. A pair with dissimilarity
-	// strictly below φ is an edge. The distance_matrix_seconds timer
-	// covers this pair pass (perfbench reports it as dtw_matrix_ms).
+	// Precompute the series and their ends once; the pair pass is O(n²),
+	// with one DTW calculator per worker. A pair with Eq. (8)
+	// dissimilarity strictly below φ is an edge. Both DTW terms are
+	// non-negative and never below their endpoint bounds, in floating
+	// point too (see dtw.DistanceBound), so the predicate rejects a pair
+	// at the first of these that holds, and only the pairs left run the
+	// timestamp DTW:
+	//   1. either account is idle (Dissimilarity is +Inf);
+	//   2. the sum of the task and timestamp bounds reaches φ;
+	//   3. the task DTW alone reaches φ.
+	// The distance_matrix_seconds timer covers this pair pass (perfbench
+	// reports it as dtw_matrix_ms).
 	origin, unit := g.timeAxis(ds)
-	taskSeries := make([][]float64, n)
-	timeSeries := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		taskSeries[i], timeSeries[i] = g.Series(ds, i, origin, unit)
+	accts := make([]trAccount, n)
+	for i := range accts {
+		a := &accts[i]
+		a.tasks, a.times = g.Series(ds, i, origin, unit)
+		a.taskEnds, a.timeEnds = dtw.EndsOf(a.tasks), dtw.EndsOf(a.times)
 	}
+	md := g.measure()
+	var (
+		mu      sync.Mutex
+		workers []*trWorker
+	)
 	sw := obs.Default().Timer("grouping.agtr.distance_matrix_seconds").Start()
 	uf, err := unionEdges(ctx, n, func() func(i, j int) bool {
-		calc := dtw.NewCalculator()
+		w := new(trWorker)
+		mu.Lock()
+		workers = append(workers, w)
+		mu.Unlock()
 		return func(i, j int) bool {
-			return g.dissimilarity(calc, taskSeries[i], timeSeries[i], taskSeries[j], timeSeries[j]) < phi
+			a, b := &accts[i], &accts[j]
+			if a.taskEnds.Len == 0 || b.taskEnds.Len == 0 {
+				w.prunedBound++
+				return false
+			}
+			// A task bound that reaches φ alone spares the timestamp
+			// bound: the sum of the two cannot be smaller.
+			if bx := md.bound(a.taskEnds, b.taskEnds); bx >= phi || bx+md.bound(a.timeEnds, b.timeEnds) >= phi {
+				w.prunedBound++
+				return false
+			}
+			x := md.dist(&w.calc, a.tasks, b.tasks)
+			if x >= phi {
+				w.prunedTaskDTW++
+				return false
+			}
+			w.fullDTWs++
+			return x+md.dist(&w.calc, a.times, b.times) < phi
 		}
 	})
 	sw.Stop()
+	reg := obs.Default()
+	prunedBound := reg.Counter("grouping.agtr.pairs_pruned_bound")
+	prunedTaskDTW := reg.Counter("grouping.agtr.pairs_pruned_task_dtw")
+	fullDTWs := reg.Counter("grouping.agtr.pairs_full_dtw")
+	for _, w := range workers {
+		prunedBound.Add(w.prunedBound)
+		prunedTaskDTW.Add(w.prunedTaskDTW)
+		fullDTWs.Add(w.fullDTWs)
+	}
 	if err != nil {
 		return Grouping{}, fmt.Errorf("grouping: AG-TR cancelled: %w", err)
 	}
