@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt verify perfbench-check fma-check loc bench bench-grouping bench-ingest bench-stream fuzz recovery chaos stream shard replication reshard shrink
+.PHONY: build test race vet fmt verify perfbench-check fma-check loc bench bench-grouping bench-gather bench-ingest bench-stream fuzz recovery chaos stream shard replication reshard shrink
 
 build:
 	$(GO) build ./...
@@ -94,8 +94,9 @@ perfbench-check:
 # x*y+z does not, and in the DTW kernel it could even put a distance below
 # its endpoint bound, which the AG-TR pair pass prunes by. This builds the
 # packages below with their assembly listing for the four GOARCHes whose
-# compilers fuse, and fails on any fused multiply-add or multiply-subtract.
-FMA_PKGS := ./internal/dtw ./internal/grouping
+# compilers fuse, and fails on any fused multiply-add or multiply-subtract,
+# including one in a function inlined from another package.
+FMA_PKGS := ./internal/dtw ./internal/grouping ./internal/truth ./internal/core
 fma-check:
 	@for arch in arm64 ppc64le s390x riscv64; do \
 		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
@@ -130,8 +131,18 @@ bench:
 bench-grouping:
 	$(GO) test -short -run '^$$' -bench 'AGTRGrouping500|ThresholdGroupingSweep' -benchtime=1x .
 
+# Router gather benchmark, one iteration each: Store.Dataset over three
+# HTTP shards at 10,000 accounts with no shard, one shard or every shard
+# changed since the last read, in ns/op and response KiB/op. Every
+# iteration is checked against a fresh gather. Drop -short to add 100,000.
+bench-gather:
+	$(GO) test -short -run '^$$' -bench RouterGather -benchtime=1x ./internal/platform/shard/
+
+# One fuzz target per go test run: the DTW kernels and bounds, then WAL
+# recovery over CRC-valid frames.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDistance -fuzztime=30s ./internal/dtw/
+	$(GO) test -run=NONE -fuzz=FuzzDurableRecovery -fuzztime=30s ./internal/platform/
 
 # Ingestion throughput benchmark: 32 concurrent submitters against a
 # durable store, group commit with no linger vs a 2ms linger vs batched

@@ -352,7 +352,7 @@ func startTruths(claims [][]truth.Claim, initWeights [][]float64, m int) []float
 	for k, groupClaims := range claims {
 		for c, cl := range groupClaims {
 			w := initWeights[k][c]
-			num[cl.Task] += w * cl.Value
+			num[cl.Task] += float64(w * cl.Value)
 			den[cl.Task] += w
 			sum[cl.Task] += cl.Value
 			count[cl.Task]++
@@ -388,7 +388,7 @@ func aggregate(vals []float64, agg Aggregator) (float64, error) {
 		var num, den float64
 		for _, v := range vals {
 			w := 1 / (math.Abs(v-mean) + eps)
-			num += w * v
+			num += float64(w * v)
 			den += w
 		}
 		return num / den, nil

@@ -121,6 +121,17 @@ type Client struct {
 	bases   []string   // endpoint rotation, guarded by mu
 	baseIdx int        // index of the endpoint in use
 	rng     *rand.Rand // jitter source, guarded by mu
+
+	// kept is the last dataset Dataset decoded, with its endpoint and
+	// ETag; nil before the first tagged read.
+	kept atomic.Pointer[keptDataset]
+}
+
+// keptDataset is one decoded GET /v1/dataset answer and the validator
+// that names it. Immutable once stored.
+type keptDataset struct {
+	base, etag string
+	ds         *mcs.Dataset
 }
 
 // SetRingVersion sets the ring version stamped on subsequent requests
@@ -347,12 +358,30 @@ func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
 	return out, err
 }
 
-// Dataset downloads the full campaign snapshot in the mcs JSON schema.
+// Dataset reads the full campaign snapshot in the mcs JSON schema. It
+// revalidates instead of downloading again: the client keeps the last
+// dataset it decoded, with its endpoint and ETag, and sends that tag as
+// If-None-Match when it next reads the same endpoint. A node answers 304
+// Not Modified, with no body, only while its live state is exactly the
+// tagged one, and Dataset then returns the kept dataset. A 200 replaces
+// the kept dataset, or drops it when the answer carries no ETag (a
+// router's merged export).
+//
+// The returned dataset is shared with every later call that revalidates
+// it, so callers must treat it as read-only. The client holds at most one
+// decoded dataset.
 func (c *Client) Dataset(ctx context.Context) (*mcs.Dataset, error) {
 	base := c.currentBase()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/dataset", nil)
 	if err != nil {
 		return nil, fmt.Errorf("platform client: request: %w", err)
+	}
+	kept := c.kept.Load()
+	if kept != nil && kept.base != base {
+		kept = nil // another node's dataset: never revalidated here
+	}
+	if kept != nil {
+		req.Header.Set("If-None-Match", kept.etag)
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
@@ -360,12 +389,23 @@ func (c *Client) Dataset(ctx context.Context) (*mcs.Dataset, error) {
 		return nil, fmt.Errorf("platform client: GET /v1/dataset: %w", err)
 	}
 	defer drainBody(resp.Body)
+	if resp.StatusCode == http.StatusNotModified {
+		if kept == nil || resp.Header.Get("ETag") != kept.etag {
+			return nil, fmt.Errorf("platform client: GET /v1/dataset: 304 for a tag the client did not send")
+		}
+		return kept.ds, nil
+	}
 	if resp.StatusCode >= 400 {
 		return nil, fmt.Errorf("platform client: GET /v1/dataset: %w", decodeAPIError(resp))
 	}
 	ds, err := mcs.DecodeJSON(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("platform client: %w", err)
+	}
+	if tag := resp.Header.Get("ETag"); tag != "" {
+		c.kept.Store(&keptDataset{base: base, etag: tag, ds: ds})
+	} else {
+		c.kept.Store(nil)
 	}
 	return ds, nil
 }

@@ -456,9 +456,15 @@ func storeFromDataset(ds *mcs.Dataset) *LocalStore {
 // records the current state already contains — a crash between the
 // snapshot rename and the WAL reset leaves both holding the same
 // operations — and silently drops records that fail validation rather
-// than refusing to start. Returns whether state changed. Caller must hold
-// mu (or own the store before it is shared).
-func (s *LocalStore) replayRecordLocked(rec walRecord) bool {
+// than refusing to start. Returns whether state changed, and bumps the
+// store's version when it did, so the dataset ETag moves with every
+// change. Caller must hold mu (or own the store before it is shared).
+func (s *LocalStore) replayRecordLocked(rec walRecord) (changed bool) {
+	defer func() {
+		if changed {
+			s.version++
+		}
+	}()
 	switch rec.Op {
 	case opSubmit:
 		if rec.Account == "" || rec.Task < 0 || rec.Task >= len(s.tasks) || !isFinite(rec.Value) {

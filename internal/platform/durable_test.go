@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -621,4 +622,62 @@ func TestDurableStoreOverHTTP(t *testing.T) {
 	if got := signature(t, store2); got != want {
 		t.Error("restarted platform lost acknowledged HTTP writes")
 	}
+}
+
+// FuzzDurableRecovery feeds recovery WAL files whose frames all carry a
+// valid CRC, so inputs reach the record decode and replayRecordLocked's
+// validation instead of stopping at the frame scan. The input's bytes up
+// to the first NUL are split at newlines into frame payloads; the bytes
+// after it are appended unframed, as a torn or corrupt tail. Recovery
+// repairs and never refuses, so OpenDurable must open every such log, and
+// after a crash a second open must find a clean log holding the same
+// dataset.
+func FuzzDurableRecovery(f *testing.F) {
+	var all [][]byte
+	for _, rec := range []walRecord{
+		{Seq: 1, Op: opSubmit, Account: "ana", Task: 0, Value: -80.5, Time: at(0)},
+		{Seq: 2, Op: opFingerprint, Account: "ana", Features: []float64{1, 2, 3}},
+		{Seq: 3, Op: opFence, Ring: 2, Accounts: []string{"ana"}},
+		{Seq: 4, Op: opUnfencePurge, Ring: 2},
+	} {
+		p, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+		all = append(all, p)
+	}
+	f.Add(append(bytes.Join(all, []byte("\n")), 0, 9, 0, 0)) // every op, then a torn header
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body, tail, _ := bytes.Cut(data, []byte{0})
+		var framed []byte
+		for _, p := range bytes.Split(body, []byte("\n")) {
+			if frame, err := wal.EncodeFrame(p); err == nil { // not empty, not oversized
+				framed = append(framed, frame...)
+			}
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walFileName), append(framed, tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, d, _, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+		if err != nil {
+			t.Fatalf("recovery refused the log: %v", err)
+		}
+		want := signature(t, store)
+		if err := d.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		again, d2, stats, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer d2.Abort()
+		if stats.BytesTruncated != 0 {
+			t.Errorf("reopen truncated %d bytes of a repaired log (%s)", stats.BytesTruncated, stats.CorruptReason)
+		}
+		if got := signature(t, again); got != want {
+			t.Errorf("reopen recovered a different dataset:\n%s\nwant\n%s", got, want)
+		}
+	})
 }

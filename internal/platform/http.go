@@ -1050,9 +1050,27 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDataset exports the full campaign in the mcs JSON schema, so a
-// campaign can be archived and re-aggregated offline.
+// campaign can be archived and re-aggregated offline. A node's own store
+// tags the export with a strong ETag naming its exact state and answers
+// an If-None-Match that still names it with 304 Not Modified and no body:
+// the router's gather revalidates the dataset it already holds instead of
+// downloading it again. A router's merged export carries no ETag.
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.store.Dataset(r.Context())
+	var ds *mcs.Dataset
+	var err error
+	if local, ok := s.store.(*LocalStore); ok {
+		var tag string
+		ds, tag, err = local.datasetTagged(r.Context(), r.Header.Get("If-None-Match"))
+		if err == nil {
+			w.Header().Set("ETag", tag)
+			if ds == nil {
+				w.WriteHeader(http.StatusNotModified)
+				return
+			}
+		}
+	} else {
+		ds, err = s.store.Dataset(r.Context())
+	}
 	if err != nil {
 		// A partial dataset would silently drop accounts from an archived
 		// campaign, so a sharded store fails the export instead of

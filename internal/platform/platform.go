@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,6 +59,15 @@ type LocalStore struct {
 	// followers like any other write.
 	fenced       map[string]uint64
 	fenceVersion uint64
+
+	// incarnation and version name the exact live state in the ETag of
+	// GET /v1/dataset (see datasetTagged). The incarnation is drawn at
+	// random for each LocalStore, so a restart — recovery rebuilds the
+	// store — never reuses a tag. The version counts every change
+	// replayRecordLocked applies and every adopted snapshot: those are
+	// the only writers of the campaign state. Both are guarded by mu.
+	incarnation uint64
+	version     uint64
 
 	// onSubmit, when set, receives every acknowledged submission (single
 	// and batch) after durability settles — the feed for the truth-watch
@@ -123,7 +134,7 @@ func NewLocalStore(tasks []mcs.Task) *LocalStore {
 			ts[i].Name = fmt.Sprintf("T%d", i+1)
 		}
 	}
-	return &LocalStore{tasks: ts, accounts: make(map[string]*accountState)}
+	return &LocalStore{tasks: ts, accounts: make(map[string]*accountState), incarnation: rand.Uint64()}
 }
 
 // Errors returned by store and API operations. Each maps to a stable wire
@@ -659,18 +670,44 @@ func (s *LocalStore) applyPurgeLocked(ringVersion uint64) int {
 }
 
 // Dataset snapshots the store as an mcs.Dataset (accounts in registration
-// order). The error is always nil on a local store; it exists for the
-// Store interface, where a remote or sharded dataset read can fail.
+// order). It fails only on an expired context or a follower beyond its
+// read-lag bound.
 func (s *LocalStore) Dataset(ctx context.Context) (*mcs.Dataset, error) {
+	ds, _, err := s.datasetTagged(ctx, "")
+	return ds, err
+}
+
+// datasetTagged is Dataset with the strong ETag that names the snapshot's
+// state, "<incarnation>-<version>". When ifNoneMatch (an If-None-Match
+// field value) still matches the live state it returns a nil dataset and
+// copies nothing: the caller's copy is current. The follower read gate
+// runs first, so a lagging follower refuses a conditional read too.
+func (s *LocalStore) datasetTagged(ctx context.Context, ifNoneMatch string) (*mcs.Dataset, string, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrOverloaded, err)
+		return nil, "", fmt.Errorf("%w: %v", ErrOverloaded, err)
 	}
 	if err := s.readAllowed(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.datasetLocked(), nil
+	tag := fmt.Sprintf(`"%x-%d"`, s.incarnation, s.version)
+	if etagListed(ifNoneMatch, tag) {
+		return nil, tag, nil
+	}
+	return s.datasetLocked(), tag, nil
+}
+
+// etagListed reports whether an If-None-Match field value names tag: "*",
+// or a listed entity tag equal to it under the weak comparison RFC 9110
+// §13.1.2 prescribes (a W/ prefix is ignored).
+func etagListed(field, tag string) bool {
+	for _, t := range strings.Split(field, ",") {
+		if t = strings.TrimPrefix(strings.TrimSpace(t), "W/"); t == "*" || t == tag {
+			return true
+		}
+	}
+	return false
 }
 
 // datasetLocked is Dataset for callers that already hold mu (the

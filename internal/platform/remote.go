@@ -150,7 +150,10 @@ func (r *RemoteStore) RecordFingerprintFeatures(ctx context.Context, account str
 	return shardErr(r.c.RecordFeatureFingerprint(ctx, account, features))
 }
 
-// Dataset downloads the backing node's full campaign snapshot.
+// Dataset reads the backing node's full campaign snapshot, revalidating
+// the one its client kept (see Client.Dataset): while the node is
+// unchanged no body crosses the wire. The result is shared and
+// read-only; the store holds at most one decoded dataset.
 func (r *RemoteStore) Dataset(ctx context.Context) (*mcs.Dataset, error) {
 	ds, err := r.c.Dataset(ctx)
 	if err != nil {

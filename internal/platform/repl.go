@@ -811,6 +811,7 @@ func (r *Replication) resetFromSnapshot(req ReplShipRequest) error {
 	r.store.tasks = rebuilt.tasks
 	r.store.accounts = rebuilt.accounts
 	r.store.order = rebuilt.order
+	r.store.version++
 	// Fence state must be installed before adoptSnapshotLocked writes the
 	// local snapshot envelope, so the adopted fence is durable with the
 	// adopted dataset.

@@ -295,13 +295,14 @@ wait:
 	t.Logf("%d acked accounts, %d owned by the joiner", len(acked), moved)
 
 	// Bit-identical aggregation: the grown router must compute exactly
-	// what a single node computes over the merged dataset.
+	// what a single node computes over a fresh gather of the grown ring.
+	ref := freshGather(t, store2)
 	for _, method := range []string{"mean", "crh", "td-ts"} {
 		res, _, err := store2.Aggregate(ctx, method)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		want, _, err := platform.AggregateDataset(ctx, method, ds)
+		want, _, err := platform.AggregateDataset(ctx, method, ref)
 		if err != nil {
 			t.Fatalf("%s single-node: %v", method, err)
 		}

@@ -290,7 +290,8 @@ func TestChaosShardedZeroAckedLoss(t *testing.T) {
 	}
 
 	// Bit-identical aggregation: the router's answer equals a single-node
-	// run over the merged dataset it exported.
+	// run over a fresh gather, which shares nothing the router keeps.
+	ref := freshGather(t, store)
 	for _, method := range []string{"mean", "crh", "td-ts"} {
 		agg, err := probe.Aggregate(ctx, method)
 		if err != nil {
@@ -299,7 +300,7 @@ func TestChaosShardedZeroAckedLoss(t *testing.T) {
 		if agg.Meta.Degraded {
 			t.Errorf("%s degraded after full recovery: %q", method, agg.Meta.DegradedReason)
 		}
-		res, _, err := platform.AggregateDataset(ctx, method, ds)
+		res, _, err := platform.AggregateDataset(ctx, method, ref)
 		if err != nil {
 			t.Fatalf("%s single-node: %v", method, err)
 		}

@@ -310,12 +310,13 @@ func TestReshardWriteRacedAgainstCutoverNeverFails(t *testing.T) {
 			t.Errorf("account %s lost its fingerprint across the reshard", acct)
 		}
 	}
+	ref := freshGather(t, s)
 	for _, method := range []string{"mean", "crh", "td-ts"} {
 		res, _, err := s.Aggregate(ctx, method)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		want, _, err := platform.AggregateDataset(ctx, method, ds)
+		want, _, err := platform.AggregateDataset(ctx, method, ref)
 		if err != nil {
 			t.Fatalf("%s single-node: %v", method, err)
 		}

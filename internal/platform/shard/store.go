@@ -706,6 +706,14 @@ func (s *Store) readFrom(ctx context.Context, t *topology, gi int, fn func(platf
 // gather snapshots every shard's dataset concurrently, each group through
 // its primary with follower fallback. dss[i] and errs[i] are shard i's
 // outcome; exactly one of them is set.
+//
+// Each read is still one round trip, so every acked write is seen, but a
+// RemoteStore revalidates the dataset its client kept from the previous
+// read (see platform.Client.Dataset): an unchanged shard answers 304 with
+// no body and the kept dataset is reused. The router therefore holds one
+// decoded dataset per replica it has read from — in steady state about
+// one campaign — and every dataset gather returns is shared and
+// read-only.
 func (s *Store) gather(ctx context.Context, t *topology) (dss []*mcs.Dataset, errs []error) {
 	dss = make([]*mcs.Dataset, len(t.groups))
 	errs = make([]error, len(t.groups))
@@ -736,7 +744,9 @@ func (s *Store) gather(ctx context.Context, t *topology) (dss []*mcs.Dataset, er
 // accounts, and ownership filtering here is what excises that copy from
 // reads instead of a deletion excising it from disk. Within a shard,
 // accounts keep their registration order, so the merged account order is
-// deterministic for a given fleet state.
+// deterministic for a given fleet state. The merged accounts share their
+// observation and fingerprint slices with the shard datasets, so the
+// result is read-only too.
 func (s *Store) merge(t *topology, dss []*mcs.Dataset) *mcs.Dataset {
 	out := &mcs.Dataset{Tasks: make([]mcs.Task, len(s.tasks))}
 	copy(out.Tasks, s.tasks)

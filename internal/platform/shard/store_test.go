@@ -193,8 +193,12 @@ func TestShardStoreSubmitBatchOneShardDown(t *testing.T) {
 	}
 }
 
+// TestShardStoreAggregateBitIdenticalToSingleNode runs over HTTP shards,
+// so every aggregate after the first revalidates the datasets the router's
+// clients kept, and takes its reference from a fresh gather that keeps
+// nothing.
 func TestShardStoreAggregateBitIdenticalToSingleNode(t *testing.T) {
-	s, _ := newLocalFleet(t, 3, 3)
+	s := newHTTPFleet(t, 3, 3).store
 	// A spread of accounts across all shards, several reports each.
 	for i := 0; i < 12; i++ {
 		account := fmt.Sprintf("worker-%d", i)
@@ -205,10 +209,7 @@ func TestShardStoreAggregateBitIdenticalToSingleNode(t *testing.T) {
 			}
 		}
 	}
-	merged, err := s.Dataset(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := freshGather(t, s)
 	if merged.NumAccounts() != 12 {
 		t.Fatalf("merged dataset has %d accounts, want 12", merged.NumAccounts())
 	}

@@ -36,7 +36,10 @@ type Store interface {
 	// RecordFingerprintFeatures stores an already-extracted fingerprint
 	// feature vector (the replay/import path).
 	RecordFingerprintFeatures(ctx context.Context, account string, features []float64) error
-	// Dataset snapshots the full campaign as an mcs.Dataset.
+	// Dataset snapshots the full campaign as an mcs.Dataset. The result
+	// may be shared with other callers (RemoteStore returns the dataset
+	// its client keeps until the node changes), so callers must treat it
+	// as read-only.
 	Dataset(ctx context.Context) (*mcs.Dataset, error)
 	// Aggregate runs the named aggregation method ("crh", "mean",
 	// "median", "td-fp", "td-ts", "td-tr") over the current dataset and

@@ -31,7 +31,7 @@ func Variance(xs []float64) float64 {
 	var sum float64
 	for _, x := range xs {
 		d := x - mu
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(xs))
 }

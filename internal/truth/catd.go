@@ -78,7 +78,7 @@ func (c CATD) Run(ds *mcs.Dataset) (Result, error) {
 			// estimate cannot acquire unbounded weight — the situation the
 			// confidence interval exists to prevent. A source without
 			// claims has chi 0, so weight 0.
-			weights[i] = chi[i] / max(loss, float64(counts[i])*1e-3+1e-9)
+			weights[i] = chi[i] / max(loss, float64(float64(counts[i])*1e-3)+1e-9)
 		}
 	}
 	return runLoop("catd", Loop{

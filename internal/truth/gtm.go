@@ -85,8 +85,8 @@ func (g GTM) Run(ds *mcs.Dataset) (Result, error) {
 				weights[i] = 0
 				continue
 			}
-			den := max(alpha+float64(counts[i])/2-1, 0.5)
-			weights[i] = 1 / max((beta+ssr[i]/2)/den, 1e-9)
+			den := max(alpha+float64(float64(counts[i])/2)-1, 0.5)
+			weights[i] = 1 / max((beta+float64(ssr[i]/2))/den, 1e-9)
 		}
 	}
 	unit := make([]float64, ds.NumTasks())

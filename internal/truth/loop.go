@@ -86,8 +86,8 @@ func (l Loop) Run(ctx context.Context, truths, weights []float64) (rounds int, c
 		clear(den)
 		for i, claims := range l.Sources {
 			for _, c := range claims {
-				w := weights[i] * c.Scale
-				num[c.Task] += w * c.Value
+				w := float64(weights[i] * c.Scale)
+				num[c.Task] += float64(w * c.Value)
 				den[c.Task] += w
 			}
 		}

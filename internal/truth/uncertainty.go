@@ -49,8 +49,8 @@ func Uncertainty(ds *mcs.Dataset, res Result) ([]float64, error) {
 			}
 			r := o.Value - res.Truths[o.Task]
 			t.wSum += w
-			t.w2Sum += w * w
-			t.wrSum += w * r * r
+			t.w2Sum += float64(w * w)
+			t.wrSum += float64(w * r * r)
 		}
 	}
 
