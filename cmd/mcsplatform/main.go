@@ -29,7 +29,9 @@
 // and subscribers receive per-task updates with latest-wins coalescing
 // under backpressure (-watch-buffer, -watch-max-subscribers). The stream
 // is exempt from -timeout and -request-timeout; reconnecting clients
-// resume via the SSE Last-Event-ID.
+// resume via the SSE Last-Event-ID. A replicated node streams only while
+// it is primary: a follower answers 503 not_primary and a demotion ends
+// open streams.
 //
 // Replication: with -followers the node is a replica-group primary — every
 // durable WAL record is shipped (sequence-numbered, CRC-carrying,
@@ -218,11 +220,9 @@ func main() {
 			MaxSubscribers: *watchMaxSubs,
 			TickEvery:      *watchTick,
 		},
+		// A follower refuses watches with not_primary and streams once
+		// promoted (the server follows the live role).
 		Replication: repl,
-		// A follower's state advances by replicated frames, not client
-		// acks, so its watch stream would sit silent; watchers belong on
-		// the router or the primary.
-		DisableWatch: *followerOf != "",
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/", apiServer)

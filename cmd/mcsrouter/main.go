@@ -319,13 +319,7 @@ func main() {
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/", apiServer)
-	adminError := func(w http.ResponseWriter, status int, code, msg string) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"error": map[string]string{"code": code, "message": msg},
-		})
-	}
+	migOpts := shard.MigrationOptions{JournalPath: journalPath, Logger: logger}
 	mux.HandleFunc("POST /v1/admin/reshard", func(w http.ResponseWriter, r *http.Request) {
 		if journalPath == "" {
 			adminError(w, http.StatusNotImplemented, "unimplemented", "resharding requires -data-dir for the coordinator journal")
@@ -349,25 +343,8 @@ func main() {
 			adminError(w, http.StatusBadRequest, "bad_request", "addrs must list at least one replica URL (primary first)")
 			return
 		}
-		m, err := store.StartMigration(gc, shard.MigrationOptions{JournalPath: journalPath, Logger: logger})
-		if err != nil {
-			adminError(w, http.StatusConflict, "conflict", err.Error())
-			return
-		}
-		// Read the journaled version before Run starts mutating the journal.
-		ringVersion := m.Journal().RingVersion
-		logger.Printf("reshard: admitting %v as group %d (ring v%d)", gc.Addrs, store.Shards(), ringVersion)
-		go func() {
-			if err := m.Run(context.Background()); err != nil {
-				logger.Printf("reshard: %v", err)
-			}
-		}()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"status":       "migrating",
-			"ring_version": ringVersion,
-		})
+		m, err := store.StartMigration(gc, migOpts)
+		answerStart(w, logger, m, err, fmt.Sprintf("admitting %v as group %d", gc.Addrs, store.Shards()), nil)
 	})
 	mux.HandleFunc("POST /v1/admin/decommission", func(w http.ResponseWriter, r *http.Request) {
 		if journalPath == "" {
@@ -402,25 +379,8 @@ func main() {
 			adminError(w, http.StatusBadRequest, "bad_request", "body must name the retiring group by index (group) or member URL (addr)")
 			return
 		}
-		m, err := store.StartDecommission(gi, shard.MigrationOptions{JournalPath: journalPath, Logger: logger})
-		if err != nil {
-			adminError(w, http.StatusConflict, "conflict", err.Error())
-			return
-		}
-		ringVersion := m.Journal().RingVersion
-		logger.Printf("reshard: decommissioning group %d (ring v%d)", gi, ringVersion)
-		go func() {
-			if err := m.Run(context.Background()); err != nil {
-				logger.Printf("reshard: %v", err)
-			}
-		}()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"status":       "migrating",
-			"ring_version": ringVersion,
-			"retiring":     gi,
-		})
+		m, err := store.StartDecommission(gi, migOpts)
+		answerStart(w, logger, m, err, fmt.Sprintf("decommissioning group %d", gi), map[string]any{"retiring": gi})
 	})
 	mux.HandleFunc("POST /v1/admin/rebalance", func(w http.ResponseWriter, r *http.Request) {
 		if journalPath == "" {
@@ -434,24 +394,8 @@ func main() {
 			adminError(w, http.StatusBadRequest, "bad_request", "decode body: "+err.Error())
 			return
 		}
-		m, err := store.StartRebalance(req.Weights, shard.MigrationOptions{JournalPath: journalPath, Logger: logger})
-		if err != nil {
-			adminError(w, http.StatusConflict, "conflict", err.Error())
-			return
-		}
-		ringVersion := m.Journal().RingVersion
-		logger.Printf("reshard: rebalancing to weights %v (ring v%d)", req.Weights, ringVersion)
-		go func() {
-			if err := m.Run(context.Background()); err != nil {
-				logger.Printf("reshard: %v", err)
-			}
-		}()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"status":       "migrating",
-			"ring_version": ringVersion,
-		})
+		m, err := store.StartRebalance(req.Weights, migOpts)
+		answerStart(w, logger, m, err, fmt.Sprintf("rebalancing to weights %v", req.Weights), nil)
 	})
 	if *enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -508,4 +452,47 @@ func main() {
 	}
 	apiServer.Close()
 	os.Exit(exitCode)
+}
+
+// adminError writes an admin route's JSON error body.
+func adminError(w http.ResponseWriter, status int, code, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(map[string]any{
+		"error": map[string]string{"code": code, "message": msg},
+	})
+}
+
+// answerStart is the shared tail of the three admin routes, given what
+// their Start call returned. A refusal that wraps
+// platform.ErrMalformedRequest (the last group, a group out of range,
+// invalid or unchanged weights) answers 400 bad_request, because the same
+// request can never be accepted; any other refusal, such as a migration
+// already in flight, answers 409 conflict. A started migration runs in
+// the background, and the route answers 202 with the journaled ring
+// version and the fields of extra.
+func answerStart(w http.ResponseWriter, logger *log.Logger, m *shard.Migration, err error, what string, extra map[string]any) {
+	if err != nil {
+		if errors.Is(err, platform.ErrMalformedRequest) {
+			adminError(w, http.StatusBadRequest, "bad_request", err.Error())
+		} else {
+			adminError(w, http.StatusConflict, "conflict", err.Error())
+		}
+		return
+	}
+	// Read the journaled version before Run starts mutating the journal.
+	ringVersion := m.Journal().RingVersion
+	logger.Printf("reshard: %s (ring v%d)", what, ringVersion)
+	go func() {
+		if err := m.Run(context.Background()); err != nil {
+			logger.Printf("reshard: %v", err)
+		}
+	}()
+	body := map[string]any{"status": "migrating", "ring_version": ringVersion}
+	for k, v := range extra {
+		body[k] = v
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_ = json.NewEncoder(w).Encode(body)
 }

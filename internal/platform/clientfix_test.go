@@ -172,7 +172,7 @@ func TestReplayPaceWithBatch(t *testing.T) {
 
 	ds := mcs.NewDataset(2)
 	for a := 0; a < 3; a++ {
-		acct := mcs.Account{ID: fmt.Sprintf("acct%d", a), Fingerprint: []float64{1, 2, float64(a)}}
+		acct := mcs.Account{ID: fmt.Sprintf("acct%d", a), Fingerprint: testFeatures(float64(a))}
 		for task := 0; task < 2; task++ {
 			acct.Observations = append(acct.Observations, mcs.Observation{
 				Task: task, Value: -80 - float64(a), Time: at(a*2 + task),

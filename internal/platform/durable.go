@@ -433,7 +433,10 @@ func readSnapshot(fsys wal.FS, path string) (snapshotFile, *mcs.Dataset, error) 
 }
 
 // storeFromDataset rebuilds in-memory store state from a snapshot
-// dataset, preserving account registration order.
+// dataset, preserving account registration order. A fingerprint that
+// checkFeatures refuses is dropped, as replay drops its record: a snapshot
+// written before the store checked the length could otherwise hold
+// vectors that a later upload's length contradicts.
 func storeFromDataset(ds *mcs.Dataset) *LocalStore {
 	s := NewLocalStore(ds.Tasks)
 	for i := range ds.Accounts {
@@ -442,7 +445,7 @@ func storeFromDataset(ds *mcs.Dataset) *LocalStore {
 		for _, o := range acct.Observations {
 			st.observations[o.Task] = o
 		}
-		if len(acct.Fingerprint) > 0 {
+		if checkFeatures(acct.Fingerprint) == nil {
 			st.fingerprint = append([]float64(nil), acct.Fingerprint...)
 		}
 	}
@@ -479,13 +482,8 @@ func (s *LocalStore) replayRecordLocked(rec walRecord) (changed bool) {
 		st.observations[rec.Task] = mcs.Observation{Task: rec.Task, Value: rec.Value, Time: rec.Time}
 		return true
 	case opFingerprint:
-		if rec.Account == "" || len(rec.Features) == 0 {
+		if rec.Account == "" || checkFeatures(rec.Features) != nil {
 			return false
-		}
-		for _, f := range rec.Features {
-			if !isFinite(f) {
-				return false
-			}
 		}
 		st := s.accounts[rec.Account]
 		if st == nil {

@@ -13,9 +13,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sybiltd/internal/fingerprint"
+	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
 	"sybiltd/internal/wal"
 )
@@ -32,11 +35,7 @@ type scriptOp struct {
 // per-task submissions.
 func campaignScript() []scriptOp {
 	fp := func(account string, seed float64) scriptOp {
-		feats := make([]float64, 6)
-		for i := range feats {
-			feats[i] = seed + float64(i)*0.25
-		}
-		return scriptOp{walRecord{Op: opFingerprint, Account: account, Features: feats}}
+		return scriptOp{walRecord{Op: opFingerprint, Account: account, Features: testFeatures(seed)}}
 	}
 	sub := func(account string, task int, value float64, minute int) scriptOp {
 		return scriptOp{walRecord{Op: opSubmit, Account: account, Task: task, Value: value, Time: at(minute)}}
@@ -600,7 +599,7 @@ func TestDurableStoreOverHTTP(t *testing.T) {
 	if err := client.Submit(ctx, SubmissionRequest{Account: "ana", Task: 0, Value: -80, Time: at(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.RecordFeatureFingerprint(ctx, "ana", []float64{1, 2, 3}); err != nil {
+	if err := client.RecordFeatureFingerprint(ctx, "ana", testFeatures(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Submit(ctx, SubmissionRequest{Account: "bo", Task: 1, Value: -70, Time: at(1)}); err != nil {
@@ -624,19 +623,127 @@ func TestDurableStoreOverHTTP(t *testing.T) {
 	}
 }
 
+// TestMixedLengthFingerprintsCannotBrickANode: feature vectors of lengths
+// 3 and 2 used to be accepted, and the snapshot a clean Close wrote from
+// them failed mcs validation ("fingerprint length 2 != 3"), so the node
+// could not reopen. Uploads of any length but fingerprint.VectorLen now get
+// 400 bad_fingerprint, and a log or snapshot written before the check
+// loads without its short vectors, so the node reopens after Close.
+func TestMixedLengthFingerprintsCannotBrickANode(t *testing.T) {
+	ctx := context.Background()
+	closeAndReopen := func(t *testing.T, dir string, d *Durability) *mcs.Dataset {
+		t.Helper()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		store, d2, _, err := OpenDurable(dir, testTasks(2), DurableOptions{})
+		if err != nil {
+			t.Fatalf("reopen after Close: %v", err)
+		}
+		defer d2.Abort()
+		ds, err := store.Dataset(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+
+	t.Run("upload", func(t *testing.T) {
+		dir := t.TempDir()
+		store, d, _, err := OpenDurable(dir, testTasks(2), DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewServer(store, nil))
+		defer srv.Close()
+		client := NewClient(srv.URL)
+		for _, n := range []int{3, 2} {
+			err := client.RecordFeatureFingerprint(ctx, fmt.Sprintf("short-%d", n), testFeatures(1)[:n])
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != CodeBadFingerprint {
+				t.Fatalf("upload of %d features = %v, want 400 %s", n, err, CodeBadFingerprint)
+			}
+		}
+		if err := client.RecordFeatureFingerprint(ctx, "full", testFeatures(1)); err != nil {
+			t.Fatal(err)
+		}
+		ds := closeAndReopen(t, dir, d)
+		if len(ds.Accounts) != 1 || ds.Accounts[0].ID != "full" || !reflect.DeepEqual(ds.Accounts[0].Fingerprint, testFeatures(1)) {
+			t.Fatalf("reopened dataset = %+v, want only full's %d features", ds.Accounts, fingerprint.VectorLen)
+		}
+	})
+
+	t.Run("replay", func(t *testing.T) {
+		dir := t.TempDir()
+		var frames []byte
+		for i, n := range []int{3, 2} {
+			p, err := json.Marshal(walRecord{Seq: uint64(i + 1), Op: opFingerprint, Account: fmt.Sprintf("short-%d", n), Features: testFeatures(1)[:n]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := wal.EncodeFrame(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, frame...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walFileName), frames, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, d, _, err := OpenDurable(dir, testTasks(2), DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds := closeAndReopen(t, dir, d); len(ds.Accounts) != 0 {
+			t.Fatalf("replay kept %d accounts from short feature records, want 0", len(ds.Accounts))
+		}
+	})
+
+	t.Run("snapshot", func(t *testing.T) {
+		// A snapshot written before the check holds uniform 3-feature
+		// vectors: valid for mcs until a full-length upload joins them.
+		dir := t.TempDir()
+		old := mcs.NewDataset(2)
+		old.AddAccount(mcs.Account{ID: "old", Observations: []mcs.Observation{{Task: 0, Value: -50, Time: at(0)}}, Fingerprint: testFeatures(1)[:3]})
+		var buf bytes.Buffer
+		if err := old.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		env, err := json.Marshal(snapshotFile{Version: snapshotVersion, Dataset: buf.Bytes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), env, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, d, _, err := OpenDurable(dir, testTasks(2), DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.RecordFingerprintFeatures(ctx, "full", testFeatures(2)); err != nil {
+			t.Fatal(err)
+		}
+		ds := closeAndReopen(t, dir, d)
+		if len(ds.Accounts) != 2 || len(ds.Accounts[0].Fingerprint) != 0 || len(ds.Accounts[1].Fingerprint) != fingerprint.VectorLen {
+			t.Fatalf("reopened dataset = %+v, want old's report without its short vector and full's %d features", ds.Accounts, fingerprint.VectorLen)
+		}
+	})
+}
+
 // FuzzDurableRecovery feeds recovery WAL files whose frames all carry a
 // valid CRC, so inputs reach the record decode and replayRecordLocked's
 // validation instead of stopping at the frame scan. The input's bytes up
 // to the first NUL are split at newlines into frame payloads; the bytes
 // after it are appended unframed, as a torn or corrupt tail. Recovery
-// repairs and never refuses, so OpenDurable must open every such log, and
+// repairs and never refuses, so OpenDurable must open every such log;
 // after a crash a second open must find a clean log holding the same
-// dataset.
+// dataset, and after a clean Close, which writes a snapshot, so must a
+// third.
 func FuzzDurableRecovery(f *testing.F) {
 	var all [][]byte
 	for _, rec := range []walRecord{
 		{Seq: 1, Op: opSubmit, Account: "ana", Task: 0, Value: -80.5, Time: at(0)},
-		{Seq: 2, Op: opFingerprint, Account: "ana", Features: []float64{1, 2, 3}},
+		{Seq: 2, Op: opFingerprint, Account: "ana", Features: testFeatures(1)},
 		{Seq: 3, Op: opFence, Ring: 2, Accounts: []string{"ana"}},
 		{Seq: 4, Op: opUnfencePurge, Ring: 2},
 	} {
@@ -672,12 +779,22 @@ func FuzzDurableRecovery(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		defer d2.Abort()
 		if stats.BytesTruncated != 0 {
 			t.Errorf("reopen truncated %d bytes of a repaired log (%s)", stats.BytesTruncated, stats.CorruptReason)
 		}
 		if got := signature(t, again); got != want {
 			t.Errorf("reopen recovered a different dataset:\n%s\nwant\n%s", got, want)
+		}
+		if err := d2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		third, d3, _, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+		if err != nil {
+			t.Fatalf("reopen after Close: %v", err)
+		}
+		defer d3.Abort()
+		if got := signature(t, third); got != want {
+			t.Errorf("reopen after Close recovered a different dataset:\n%s\nwant\n%s", got, want)
 		}
 	})
 }

@@ -11,13 +11,13 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/mems"
 	"sybiltd/internal/obs"
-	"sybiltd/internal/truth"
 )
 
 // API DTOs. Field names form the wire contract of the platform service.
@@ -333,8 +333,15 @@ type Server struct {
 	gate     *gate           // nil when MaxConcurrent == 0
 	limiter  *accountLimiter // nil when RatePerSec == 0
 	hub      *StreamHub      // truth-watch fan-out (always present)
+	watch    bool            // false under DisableWatch: no stream, no feed
 	repl     *Replication    // nil on an unreplicated node
 	draining atomic.Bool
+
+	// hubMu guards the hub's sync with the store: hubSynced is set once a
+	// watch seeded it, hubTerm is the primary term that watch ran in.
+	hubMu     sync.Mutex
+	hubSynced bool
+	hubTerm   <-chan struct{}
 
 	shedOverload *obs.Counter
 	shedRate     *obs.Counter
@@ -357,17 +364,17 @@ type ServerOptions struct {
 	Limits ServerLimits
 	// Stream tunes the GET /v1/truths:watch subscription hub. The zero
 	// value enables streaming with defaults (per-task subscriber buffers,
-	// 4096 subscribers, 15s heartbeat).
+	// 4096 subscribers).
 	Stream StreamConfig
 	// Replication, when non-nil, serves the /v1/repl endpoints (frame
 	// shipping, status, role flips) against the node's replication
 	// manager. Without it those endpoints answer 501 unimplemented.
 	Replication *Replication
 	// DisableWatch turns GET /v1/truths:watch into a typed 501
-	// unimplemented response instead of a live stream. Replica followers
-	// set this: their state advances by replicated frames, not client
-	// acks, so a follower stream would sit silent and then lie after a
-	// promotion. Watchers belong on the router or the primary.
+	// unimplemented response instead of a live stream, and the server
+	// neither seeds nor feeds its hub. Without it, a server with
+	// Replication streams only while its node is primary: a follower
+	// refuses watches with not_primary and a demotion ends open streams.
 	DisableWatch bool
 }
 
@@ -411,6 +418,7 @@ func NewServerWithOptions(store Store, opts ServerOptions) *Server {
 		reg:    reg,
 		repl:   opts.Replication,
 		limits: opts.Limits.withDefaults(),
+		watch:  !opts.DisableWatch,
 
 		shedOverload: reg.Counter("http.shed.overload"),
 		shedRate:     reg.Counter("http.shed.rate_limited"),
@@ -423,14 +431,14 @@ func NewServerWithOptions(store Store, opts ServerOptions) *Server {
 	if s.limits.RatePerSec > 0 {
 		s.limiter = newAccountLimiter(s.limits.RatePerSec, s.limits.RateBurst)
 	}
-	// The watch hub: every acknowledged submission feeds the shared
-	// evolving-truth estimator, and subscribers get per-task updates on
-	// change. Seeded from the store's current dataset so a durable restart
-	// streams the recovered state, not an empty one. The hub's goroutine
-	// starts lazily on the first subscription. A store that cannot answer
-	// Tasks at construction (a router whose shards are still coming up)
-	// gets a single-task hub rather than no hub: the watch stream is a
-	// side channel, not worth failing construction over.
+	// The watch hub: the submit handlers feed it every report the store
+	// acknowledged, and subscribers get per-task updates on change. The
+	// first watch seeds it from the store's dataset (syncHub), so a
+	// durable restart streams the recovered state, not an empty one. The
+	// hub's goroutine starts lazily on the first subscription. A store that
+	// cannot answer Tasks at construction (a router whose shards are still
+	// coming up) gets a single-task hub rather than no hub: the watch
+	// stream is a side channel, not worth failing construction over.
 	numTasks := 0
 	if tasks, err := store.Tasks(context.Background()); err == nil {
 		numTasks = len(tasks)
@@ -440,31 +448,7 @@ func NewServerWithOptions(store Store, opts ServerOptions) *Server {
 	if numTasks < 1 {
 		numTasks = 1 // zero-task stores exist only in hand-built tests
 	}
-	hub, err := NewStreamHub(numTasks, opts.Stream, reg)
-	if err != nil {
-		// With numTasks >= 1 the constructor can only fail on invalid
-		// estimator tuning (e.g. Online.Decay outside (0, 1]). The watch
-		// stream is a side channel of the server, so trade the bad knobs
-		// for truth.NewOnline defaults — loudly — rather than failing
-		// construction or serving with a nil hub.
-		s.logf("platform: stream config rejected (%v); watch hub falling back to default estimator tuning", err)
-		fallback := opts.Stream
-		fallback.Online = truth.OnlineConfig{}
-		hub, err = NewStreamHub(numTasks, fallback, reg)
-		if err != nil {
-			// Unreachable: the zero OnlineConfig always validates.
-			panic(fmt.Sprintf("platform: stream hub fallback: %v", err))
-		}
-	}
-	s.hub = hub
-	// Install the listener before taking the seeding snapshot so no
-	// submission can fall between the two: the snapshot then misses
-	// nothing the listener didn't see, and seed skips pairs a live Feed
-	// already delivered, so the overlap is never replayed backwards.
-	store.SetSubmitListener(hub.Feed)
-	if ds, err := store.Dataset(context.Background()); err == nil && len(ds.Accounts) > 0 {
-		hub.seed(ds)
-	}
+	s.hub, _ = NewStreamHub(numTasks, opts.Stream, reg) // fails only below one task
 	s.handle("GET /v1/tasks", weightLight, s.handleTasks)
 	s.handle("POST /v1/submissions", weightLight, s.handleSubmit)
 	s.handle("POST /v1/reports:batch", weightDeferred, s.handleSubmitBatch)
@@ -478,13 +462,7 @@ func NewServerWithOptions(store Store, opts ServerOptions) *Server {
 	// histogram (an hours-long "request" would drag percentiles into
 	// fiction). Fan-out safety comes from the hub's own subscriber cap and
 	// per-subscriber bounded buffers instead.
-	if opts.DisableWatch {
-		s.handleStream("GET /v1/truths:watch", func(w http.ResponseWriter, _ *http.Request) {
-			s.writeError(w, fmt.Errorf("%w: truth streaming is not served on this node", ErrUnimplemented))
-		})
-	} else {
-		s.handleStream("GET /v1/truths:watch", s.handleWatch)
-	}
+	s.handleStream("GET /v1/truths:watch", s.handleWatch)
 	// Replication plane. The routes exist on every node so a misdirected
 	// ship fails with a typed 501 instead of a bare 404; the gate is
 	// bypassed (weightDeferred) — replication traffic must flow precisely
@@ -598,10 +576,6 @@ func (s *Server) handleStream(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// Hub returns the server's truth-watch stream hub (e.g. to drive round
-// ticks from an embedder's own cadence).
-func (s *Server) Hub() *StreamHub { return s.hub }
-
 // Close stops the stream hub, disconnecting watch subscribers. The HTTP
 // routes keep serving; call during shutdown after draining.
 func (s *Server) Close() {
@@ -614,12 +588,31 @@ func (s *Server) Close() {
 // estimate changed after that sequence number, falling back to a full
 // snapshot of the current estimates.
 //
+// A DisableWatch server answers 501 unimplemented. A replicated node
+// streams only while it is primary: a follower's state advances by
+// shipped frames, which never pass the submit handlers that feed the hub,
+// so a follower refuses with not_primary and a demotion ends every open
+// stream; watchers reconnect to the router or the new primary.
+//
 // The stream is exempt from the server-wide read/write timeouts (cleared
 // via http.ResponseController) — those exist to kill stuck requests, and
 // a subscription is not stuck — but every individual write carries a
 // bounded deadline, so a peer that stops draining its socket for longer
 // than the write window is disconnected rather than pinning the handler.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
+	if !s.watch {
+		s.writeError(w, fmt.Errorf("%w: truth streaming is not served on this node", ErrUnimplemented))
+		return
+	}
+	var demoted <-chan struct{} // nil, never ready, on an unreplicated node
+	if s.repl != nil {
+		var role string
+		if role, demoted = s.repl.roleState(); role != RolePrimary {
+			s.writeError(w, fmt.Errorf("%w: truth streaming is served by the primary", ErrNotPrimary))
+			return
+		}
+	}
+	s.syncHub(r.Context(), demoted)
 	var afterSeq uint64
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		afterSeq, _ = strconv.ParseUint(v, 10, 64)
@@ -649,7 +642,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	heartbeat := time.NewTicker(s.hub.cfg.Heartbeat)
+	heartbeat := time.NewTicker(watchHeartbeat)
 	defer heartbeat.Stop()
 	writeWindow := s.hub.cfg.WriteWindow
 	for {
@@ -657,6 +650,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-s.hub.Done():
+			return
+		case <-demoted:
 			return
 		case <-heartbeat.C:
 			_ = rc.SetWriteDeadline(time.Now().Add(writeWindow))
@@ -689,6 +684,29 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			_ = rc.SetWriteDeadline(time.Time{})
 			s.hub.observePushLatency(updates, time.Now())
 		}
+	}
+}
+
+// syncHub rebuilds the hub's estimator from the store at the first watch
+// of each primary term (term is the role channel that closes when it
+// ends; nil for the one term of an unreplicated node). The handlers feed
+// only what this server acknowledges, while the store also holds what it
+// recovered from disk or applied as a follower, and a snapshot it adopted
+// may have erased reports the hub held. A failed read (the watcher gone,
+// say) leaves the sync to the next watch.
+func (s *Server) syncHub(ctx context.Context, term <-chan struct{}) {
+	s.hubMu.Lock()
+	defer s.hubMu.Unlock()
+	if s.hubSynced && s.hubTerm == term {
+		return
+	}
+	// Empty the estimator before reading the store: a report acknowledged
+	// before the read is in the dataset, one acknowledged after it is fed
+	// after the reset, and one fed in between is in both, which seed skips.
+	s.hub.reset()
+	if ds, err := s.store.Dataset(ctx); err == nil {
+		s.hub.seed(ds)
+		s.hubSynced, s.hubTerm = true, term
 	}
 }
 
@@ -865,6 +883,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	if s.watch {
+		s.hub.Feed([]BatchSubmission{{Account: req.Account, Task: req.Task, Value: req.Value, At: req.Time}})
+	}
 	s.writeJSON(w, http.StatusCreated, map[string]string{"status": "accepted"})
 }
 
@@ -959,23 +980,20 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		toSubmit = append(toSubmit, items[i])
 	}
 	errs := s.store.SubmitBatch(r.Context(), toSubmit)
+	acked := make([]BatchSubmission, 0, len(toSubmit))
 	for j, i := range submitIdx {
 		if err := errs[j]; err != nil {
 			code, _ := codeForError(err)
 			results[i] = BatchItemResult{Status: "rejected", Code: code, Error: err.Error()}
 		} else {
 			results[i] = BatchItemResult{Status: "accepted"}
+			acked = append(acked, toSubmit[j])
 		}
 	}
-	resp := BatchSubmissionResponse{Results: results}
-	for _, res := range results {
-		if res.Status == "accepted" {
-			resp.Accepted++
-		} else {
-			resp.Rejected++
-		}
+	if s.watch {
+		s.hub.Feed(acked)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, BatchSubmissionResponse{Accepted: len(acked), Rejected: n - len(acked), Results: results})
 }
 
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {

@@ -68,13 +68,6 @@ type LocalStore struct {
 	// the only writers of the campaign state. Both are guarded by mu.
 	incarnation uint64
 	version     uint64
-
-	// onSubmit, when set, receives every acknowledged submission (single
-	// and batch) after durability settles — the feed for the truth-watch
-	// stream hub. Guarded by hookMu, not mu: the callback runs outside the
-	// store lock, on the acknowledging goroutine.
-	hookMu   sync.RWMutex
-	onSubmit SubmitListener
 }
 
 // LocalStore implements Store and the resharding Fencer capability.
@@ -82,34 +75,6 @@ var (
 	_ Store  = (*LocalStore)(nil)
 	_ Fencer = (*LocalStore)(nil)
 )
-
-// SubmitListener observes acknowledged submissions. Items are only ever
-// reports the store has applied (and, on a durable store, fsynced). The
-// callback runs synchronously on the ack path and must be cheap and
-// non-blocking; the stream hub's Feed qualifies.
-type SubmitListener func(items []BatchSubmission)
-
-// SetSubmitListener installs (or, with nil, removes) the acknowledged-
-// submission hook. At most one listener is active; a later call replaces
-// the earlier one.
-func (s *LocalStore) SetSubmitListener(fn SubmitListener) {
-	s.hookMu.Lock()
-	s.onSubmit = fn
-	s.hookMu.Unlock()
-}
-
-// notifySubmitted delivers acknowledged items to the listener, if any.
-func (s *LocalStore) notifySubmitted(items []BatchSubmission) {
-	if len(items) == 0 {
-		return
-	}
-	s.hookMu.RLock()
-	fn := s.onSubmit
-	s.hookMu.RUnlock()
-	if fn != nil {
-		fn(items)
-	}
-}
 
 // SetMaxAccounts caps the number of accounts the store accepts; 0 removes
 // the cap. Existing accounts are never evicted.
@@ -412,18 +377,11 @@ func (s *LocalStore) SubmitBatch(ctx context.Context, items []BatchSubmission) [
 	err := s.commit(ctx, func() ([]walRecord, error) {
 		return s.validateBatchLocked(items, errs), nil
 	})
-	// Feed the acknowledged subset (applied and durably settled) to the
-	// stream listener.
-	var acked []BatchSubmission
 	for i := range errs {
 		if errs[i] == nil {
 			errs[i] = err
 		}
-		if errs[i] == nil {
-			acked = append(acked, items[i])
-		}
 	}
-	s.notifySubmitted(acked)
 	return errs
 }
 
@@ -503,20 +461,33 @@ func (s *LocalStore) RecordFingerprint(ctx context.Context, account string, rec 
 
 // RecordFingerprintFeatures stores an already-extracted fingerprint
 // feature vector for the account (the replay path: archived campaigns
-// hold features, not raw captures).
+// hold features, not raw captures). The vector must have
+// fingerprint.VectorLen finite features, the length Extract returns: one
+// vector of another length would make the dataset, and every snapshot of
+// it, fail mcs validation.
 func (s *LocalStore) RecordFingerprintFeatures(ctx context.Context, account string, features []float64) error {
 	if account == "" {
 		return ErrEmptyAccount
 	}
-	if len(features) == 0 {
-		return ErrBadFingerprint
+	if err := checkFeatures(features); err != nil {
+		return err
+	}
+	return s.setFingerprint(ctx, account, features)
+}
+
+// checkFeatures refuses a feature vector that is not fingerprint.VectorLen
+// finite values. The client path, WAL replay and snapshot loads share it,
+// so the store never holds a vector of another length.
+func checkFeatures(features []float64) error {
+	if len(features) != fingerprint.VectorLen {
+		return fmt.Errorf("%w: %d features, want %d", ErrBadFingerprint, len(features), fingerprint.VectorLen)
 	}
 	for _, f := range features {
 		if !isFinite(f) {
 			return fmt.Errorf("%w: non-finite feature %v", ErrBadFingerprint, f)
 		}
 	}
-	return s.setFingerprint(ctx, account, features)
+	return nil
 }
 
 // setFingerprint commits a validated feature vector (the apply copies it).

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sybiltd/internal/fingerprint"
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/mems"
 	"sybiltd/internal/simulate"
@@ -27,6 +28,16 @@ func testTasks(n int) []mcs.Task {
 
 func at(min int) time.Time {
 	return time.Date(2026, 7, 1, 10, min, 0, 0, time.UTC)
+}
+
+// testFeatures is a valid fingerprint feature vector: fingerprint.VectorLen
+// short decimals counting up from seed, which keeps WAL records small.
+func testFeatures(seed float64) []float64 {
+	v := make([]float64, fingerprint.VectorLen)
+	for i := range v {
+		v[i] = seed + float64(i)*0.25
+	}
+	return v
 }
 
 func TestStoreSubmitAndDataset(t *testing.T) {
@@ -82,11 +93,9 @@ func TestStoreRejectsNonFiniteValues(t *testing.T) {
 			t.Errorf("Submit(%v) = %v, want ErrMalformedRequest", v, err)
 		}
 	}
-	for _, feats := range [][]float64{
-		{1, math.NaN(), 3},
-		{math.Inf(1)},
-		{1, 2, math.Inf(-1)},
-	} {
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		feats := testFeatures(1)
+		feats[i] = v
 		if err := s.RecordFingerprintFeatures(context.Background(), "a", feats); !errors.Is(err, ErrBadFingerprint) {
 			t.Errorf("RecordFingerprintFeatures(%v) = %v, want ErrBadFingerprint", feats, err)
 		}
@@ -637,7 +646,7 @@ func TestReplayValidation(t *testing.T) {
 func TestFeatureFingerprintOverHTTP(t *testing.T) {
 	_, client := newTestServer(t, 1)
 	ctx := context.Background()
-	if err := client.RecordFeatureFingerprint(ctx, "a", []float64{1, 2, 3}); err != nil {
+	if err := client.RecordFeatureFingerprint(ctx, "a", testFeatures(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.RecordFeatureFingerprint(ctx, "b", nil); err == nil {

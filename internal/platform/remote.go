@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,9 +26,6 @@ type RemoteStore struct {
 	// backing node through this store — FenceVersion() answers from it
 	// without a round trip.
 	fenceVersion atomic.Uint64
-
-	hookMu   sync.RWMutex
-	onSubmit SubmitListener
 }
 
 // RemoteStore implements Store, the Pinger health capability, and the
@@ -65,27 +61,6 @@ func shardErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrShardUnavailable, err)
 }
 
-// SetSubmitListener installs the acknowledged-submission hook. The
-// listener sees the submissions this store acknowledged through its
-// client — the router's view, fed to the router's own stream hub.
-func (r *RemoteStore) SetSubmitListener(fn SubmitListener) {
-	r.hookMu.Lock()
-	r.onSubmit = fn
-	r.hookMu.Unlock()
-}
-
-func (r *RemoteStore) notifySubmitted(items []BatchSubmission) {
-	if len(items) == 0 {
-		return
-	}
-	r.hookMu.RLock()
-	fn := r.onSubmit
-	r.hookMu.RUnlock()
-	if fn != nil {
-		fn(items)
-	}
-}
-
 // Tasks lists the backing node's published tasks.
 func (r *RemoteStore) Tasks(ctx context.Context) ([]mcs.Task, error) {
 	dtos, err := r.c.Tasks(ctx)
@@ -101,12 +76,7 @@ func (r *RemoteStore) Tasks(ctx context.Context) ([]mcs.Task, error) {
 
 // Submit records one observation on the backing node.
 func (r *RemoteStore) Submit(ctx context.Context, account string, task int, value float64, at time.Time) error {
-	err := r.c.Submit(ctx, SubmissionRequest{Account: account, Task: task, Value: value, Time: at})
-	if err != nil {
-		return shardErr(err)
-	}
-	r.notifySubmitted([]BatchSubmission{{Account: account, Task: task, Value: value, At: at}})
-	return nil
+	return shardErr(r.c.Submit(ctx, SubmissionRequest{Account: account, Task: task, Value: value, Time: at}))
 }
 
 // SubmitBatch forwards the batch in one POST /v1/reports:batch call and
@@ -130,13 +100,9 @@ func (r *RemoteStore) SubmitBatch(ctx context.Context, items []BatchSubmission) 
 		}
 		return errs
 	}
-	var acked []BatchSubmission
 	for i, res := range results {
-		if errs[i] = res.Err(); errs[i] == nil {
-			acked = append(acked, items[i])
-		}
+		errs[i] = res.Err()
 	}
-	r.notifySubmitted(acked)
 	return errs
 }
 

@@ -220,8 +220,9 @@ type Replication struct {
 
 	mu             sync.RWMutex
 	role           string
-	primary        string // last-known primary endpoint (follower view)
-	lastPrimarySeq uint64 // primary high-water mark from the last ship
+	roleCh         chan struct{} // closed and replaced when role changes
+	primary        string        // last-known primary endpoint (follower view)
+	lastPrimarySeq uint64        // primary high-water mark from the last ship
 	closed         bool
 
 	shipMu   sync.Mutex
@@ -249,6 +250,7 @@ func NewReplication(store *LocalStore, d *Durability, opts ReplicationOptions) *
 		maxReadLag:      opts.MaxReadLag,
 		newClient:       opts.NewClient,
 		role:            RolePrimary,
+		roleCh:          make(chan struct{}),
 		primary:         opts.FollowerOf,
 		ackCh:           make(chan struct{}),
 	}
@@ -304,6 +306,24 @@ func (r *Replication) Role() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.role
+}
+
+// roleState returns the node's current role and a channel closed when
+// that role next changes.
+func (r *Replication) roleState() (string, <-chan struct{}) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.role, r.roleCh
+}
+
+// setRoleLocked switches the role; a change wakes roleState's waiters.
+// Caller holds r.mu.
+func (r *Replication) setRoleLocked(role string) {
+	if role != r.role {
+		close(r.roleCh)
+		r.roleCh = make(chan struct{})
+		r.role = role
+	}
 }
 
 // Mode returns the configured ack mode.
@@ -598,7 +618,7 @@ func (r *Replication) stepDown() {
 		r.mu.Unlock()
 		return
 	}
-	r.role = RoleFollower
+	r.setRoleLocked(RoleFollower)
 	r.mu.Unlock()
 	r.reg.Counter("repl.stepdowns").Inc()
 	r.wakeSettles()
@@ -686,14 +706,11 @@ func (r *Replication) ApplyShip(ctx context.Context, req ReplShipRequest) (ReplS
 	if req.Epoch > own {
 		return ReplShipResponse{AppliedSeq: r.d.durableSeq(), Epoch: own, Durable: true, NeedSnapshot: true}, nil
 	}
-	acked, err := r.applyFrames(req.Frames, own)
-	if err != nil {
+	if err := r.applyFrames(req.Frames, own); err != nil {
 		return ReplShipResponse{}, err
 	}
 	r.publishOwnLag()
-	resp := ReplShipResponse{AppliedSeq: r.d.durableSeq(), Epoch: own, Durable: true}
-	r.store.notifySubmitted(acked)
-	return resp, nil
+	return ReplShipResponse{AppliedSeq: r.d.durableSeq(), Epoch: own, Durable: true}, nil
 }
 
 // publishOwnLag exports the follower's own view of its lag.
@@ -715,14 +732,14 @@ func (r *Replication) publishOwnLag() {
 // the primary reships from there. epoch is the epoch ApplyShip's gate
 // validated against; it is re-checked under the lock so the
 // validate-and-apply pair is atomic.
-func (r *Replication) applyFrames(frames []ReplFrame, epoch uint64) ([]BatchSubmission, error) {
+func (r *Replication) applyFrames(frames []ReplFrame, epoch uint64) error {
 	if len(frames) == 0 {
-		return nil, nil
+		return nil
 	}
 	r.store.mu.Lock()
 	defer r.store.mu.Unlock()
 	if r.d.closed {
-		return nil, fmt.Errorf("%w: durability closed", ErrDurability)
+		return fmt.Errorf("%w: durability closed", ErrDurability)
 	}
 	// ApplyShip's epoch/role gate ran before this critical section; a
 	// concurrent promotion (SetRole persists a higher epoch, then flips
@@ -731,10 +748,10 @@ func (r *Replication) applyFrames(frames []ReplFrame, epoch uint64) ([]BatchSubm
 	// histories at contiguous seqs — exactly the failover race the epoch
 	// fence exists to prevent — so the gate is re-applied under the lock.
 	if own := r.d.epoch; own != epoch {
-		return nil, fmt.Errorf("%w: epoch advanced to %d during ship at epoch %d", ErrNotPrimary, own, epoch)
+		return fmt.Errorf("%w: epoch advanced to %d during ship at epoch %d", ErrNotPrimary, own, epoch)
 	}
 	if r.Role() == RolePrimary {
-		return nil, fmt.Errorf("%w: split brain — both primaries at epoch %d", ErrNotPrimary, epoch)
+		return fmt.Errorf("%w: split brain — both primaries at epoch %d", ErrNotPrimary, epoch)
 	}
 	fresh := frames[:0:0]
 	recs := make([]walRecord, 0, len(frames))
@@ -744,39 +761,36 @@ func (r *Replication) applyFrames(frames []ReplFrame, epoch uint64) ([]BatchSubm
 			continue // already applied: replay is idempotent
 		}
 		if f.Seq != next {
-			return nil, nil // gap: report our cursor, primary reships
+			return nil // gap: report our cursor, primary reships
 		}
 		if crc32.ChecksumIEEE(f.Payload) != f.CRC {
-			return nil, fmt.Errorf("%w: frame %d fails CRC", ErrMalformedRequest, f.Seq)
+			return fmt.Errorf("%w: frame %d fails CRC", ErrMalformedRequest, f.Seq)
 		}
 		var rec walRecord
 		if err := json.Unmarshal(f.Payload, &rec); err != nil {
-			return nil, fmt.Errorf("%w: frame %d undecodable: %v", ErrMalformedRequest, f.Seq, err)
+			return fmt.Errorf("%w: frame %d undecodable: %v", ErrMalformedRequest, f.Seq, err)
 		}
 		if rec.Seq != f.Seq {
-			return nil, fmt.Errorf("%w: frame %d carries record seq %d", ErrMalformedRequest, f.Seq, rec.Seq)
+			return fmt.Errorf("%w: frame %d carries record seq %d", ErrMalformedRequest, f.Seq, rec.Seq)
 		}
 		fresh = append(fresh, f)
 		recs = append(recs, rec)
 		next++
 	}
 	if len(fresh) == 0 {
-		return nil, nil
+		return nil
 	}
 	if err := r.d.appendReplicatedLocked(fresh); err != nil {
-		return nil, err
+		return err
 	}
-	var acked []BatchSubmission
 	for _, rec := range recs {
 		// Replay through the recovery path: validator-rejected records are
 		// skipped identically on both sides, keeping histories aligned.
-		if r.store.replayRecordLocked(rec) && rec.Op == opSubmit {
-			acked = append(acked, BatchSubmission{Account: rec.Account, Task: rec.Task, Value: rec.Value, At: rec.Time})
-		}
+		r.store.replayRecordLocked(rec)
 	}
 	r.reg.Counter("repl.applied_frames").Add(int64(len(fresh)))
 	r.d.maybeCompactLocked()
-	return acked, nil
+	return nil
 }
 
 // resetFromSnapshot replaces local state with a shipped snapshot,
@@ -843,7 +857,7 @@ func (r *Replication) SetRole(ctx context.Context, req ReplRoleRequest) error {
 		}
 		r.stopShippers()
 		r.mu.Lock()
-		r.role = RolePrimary
+		r.setRoleLocked(RolePrimary)
 		r.primary = ""
 		r.mu.Unlock()
 		r.shipMu.Lock()
@@ -860,7 +874,7 @@ func (r *Replication) SetRole(ctx context.Context, req ReplRoleRequest) error {
 		}
 		r.mu.Lock()
 		wasPrimary := r.role == RolePrimary
-		r.role = RoleFollower
+		r.setRoleLocked(RoleFollower)
 		r.primary = req.Primary
 		r.mu.Unlock()
 		if wasPrimary {

@@ -123,7 +123,7 @@ func TestReplicationShipsAndFollowerConverges(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if err := primary.client.RecordFeatureFingerprint(ctx, "acct-00", []float64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+	if err := primary.client.RecordFeatureFingerprint(ctx, "acct-00", testFeatures(1)); err != nil {
 		t.Fatalf("fingerprint: %v", err)
 	}
 
@@ -396,7 +396,7 @@ func TestApplyShipRevalidatesUnderLock(t *testing.T) {
 
 	// Frames validated against the pre-promotion epoch must be refused by
 	// the locked re-check, leaving seq and epoch untouched.
-	if _, err := node.repl.applyFrames(frames[2:], 0); !errors.Is(err, ErrNotPrimary) {
+	if err := node.repl.applyFrames(frames[2:], 0); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("stale-epoch applyFrames = %v, want ErrNotPrimary", err)
 	}
 	if seq, epoch := node.d.durableSeq(), node.d.Epoch(); seq != 2 || epoch != 2 {

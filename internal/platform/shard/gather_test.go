@@ -74,7 +74,7 @@ func TestRouterAggregatesMatchFreshGatherUnderWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 3: // a fingerprint, then refused writes that change nothing
-			if err := f.client.RecordFeatureFingerprint(ctx, fmt.Sprintf("worker-%d", step-2), []float64{float64(step), 1, 2}); err != nil {
+			if err := f.client.RecordFeatureFingerprint(ctx, fmt.Sprintf("worker-%d", step-2), testFeatures(float64(step))); err != nil {
 				t.Fatal(err)
 			}
 			if err := f.client.Submit(ctx, platform.SubmissionRequest{Account: fmt.Sprintf("worker-%d", step-2), Task: (step - 2) % 4, Value: 1, Time: at(step)}); err == nil {

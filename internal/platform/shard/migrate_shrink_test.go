@@ -45,7 +45,7 @@ func TestDecommissionDrainsToSurvivorsEndToEnd(t *testing.T) {
 			}
 		}
 		if i%10 == 0 {
-			if err := s.RecordFingerprintFeatures(ctx, acct, []float64{float64(i), 1, 2}); err != nil {
+			if err := s.RecordFingerprintFeatures(ctx, acct, testFeatures(float64(i))); err != nil {
 				t.Fatal(err)
 			}
 		}

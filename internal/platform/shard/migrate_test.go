@@ -84,7 +84,7 @@ func TestReshardStaleRingVersionFencedOverHTTP(t *testing.T) {
 	}); !errors.Is(err, platform.ErrWrongShard) {
 		t.Errorf("stale-stamped batch = %v, want wholesale ErrWrongShard", err)
 	}
-	if err := stale.RecordFeatureFingerprint(ctx, "fresh-acct", []float64{1, 2}); !errors.Is(err, platform.ErrWrongShard) {
+	if err := stale.RecordFeatureFingerprint(ctx, "fresh-acct", testFeatures(1)); !errors.Is(err, platform.ErrWrongShard) {
 		t.Errorf("stale-stamped fingerprint = %v, want ErrWrongShard", err)
 	}
 
@@ -190,7 +190,7 @@ func TestReshardWriteRacedAgainstCutoverNeverFails(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%5 == 0 {
-			if err := s.RecordFingerprintFeatures(ctx, acct, []float64{float64(i), 1, 2}); err != nil {
+			if err := s.RecordFingerprintFeatures(ctx, acct, testFeatures(float64(i))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"sybiltd/internal/obs"
 	"sybiltd/internal/platform"
 )
 
@@ -114,7 +116,7 @@ func TestRouterServesWireAPIEndToEnd(t *testing.T) {
 	}
 
 	// Fingerprints route to the owning shard.
-	if err := f.client.RecordFeatureFingerprint(ctx, owners[2], []float64{1, 2, 3}); err != nil {
+	if err := f.client.RecordFeatureFingerprint(ctx, owners[2], testFeatures(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,5 +253,82 @@ func TestRouterShardUnavailableOnWrite(t *testing.T) {
 	}
 	if !errors.Is(results[1].Err(), platform.ErrShardUnavailable) {
 		t.Errorf("item 1 routed to dead shard = %v, want ErrShardUnavailable", results[1].Err())
+	}
+}
+
+// TestRouterWatchFeedsOnlyAcknowledgedReports is the router's half of
+// platform's TestWatchFeedsOnlyAcknowledgedReports: a router's truth
+// stream carries exactly the reports shard.Store acknowledged through the
+// router's handlers, for a batch the router splits across groups. The
+// router here fronts newHTTPFleet's store with its own registry and a
+// rate limit.
+func TestRouterWatchFeedsOnlyAcknowledgedReports(t *testing.T) {
+	f := newHTTPFleet(t, 3, 3)
+	reg := obs.NewRegistry()
+	api := platform.NewServerWithOptions(f.store, platform.ServerOptions{
+		Registry: reg,
+		// Three requests or items per account, with no refill in the test.
+		Limits: platform.ServerLimits{RatePerSec: 1e-3, RateBurst: 3},
+	})
+	srv := httptest.NewServer(api)
+	t.Cleanup(srv.Close)
+	t.Cleanup(api.Close)
+	client := platform.NewClient(srv.URL, platform.WithRetries(0))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	owners := accountsPerShard(f.store)
+	if err := client.Submit(ctx, platform.SubmissionRequest{Account: owners[0], Task: 0, Value: -50}); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Submit(ctx, platform.SubmissionRequest{Account: owners[0], Task: 0, Value: -90}); !errors.Is(err, platform.ErrDuplicateReport) {
+		t.Fatalf("second submit = %v, want ErrDuplicateReport", err)
+	}
+	// The refusal still spends one of the account's tokens, leaving two.
+	if err := client.Submit(ctx, platform.SubmissionRequest{Account: "limited", Task: 99, Value: -10}); !errors.Is(err, platform.ErrUnknownTask) {
+		t.Fatalf("unknown-task submit = %v, want ErrUnknownTask", err)
+	}
+	results, err := client.SubmitBatch(ctx, []platform.SubmissionRequest{
+		{Account: owners[1], Task: 1, Value: -60},
+		{Account: owners[0], Task: 0, Value: -95},
+		{Account: owners[2], Task: 99, Value: -10},
+		{Account: "limited", Task: 0, Value: -10},
+		{Account: owners[2], Task: 2, Value: -70},
+		{Account: "limited", Task: 1, Value: -10},
+		{Account: "limited", Task: 2, Value: -10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []error{nil, platform.ErrDuplicateReport, platform.ErrUnknownTask, platform.ErrRateLimited, nil, platform.ErrRateLimited, platform.ErrRateLimited}
+	for i, res := range results {
+		if err := res.Err(); !errors.Is(err, want[i]) {
+			t.Fatalf("item %d = %v, want %v", i, err, want[i])
+		}
+	}
+	if n := reg.Snapshot().Counters["stream.reports"]; n != 3 {
+		t.Fatalf("router stream.reports = %d, want the 3 accepted reports", n)
+	}
+
+	w, err := client.Watch(ctx, platform.WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[int]float64)
+	for {
+		u, ok := w.Next(300 * time.Millisecond)
+		if !ok {
+			break
+		}
+		got[u.Task] = u.Value
+	}
+	wantTruths := map[int]float64{0: -50, 1: -60, 2: -70}
+	if len(got) != len(wantTruths) {
+		t.Fatalf("watch delivered %v, want %v", got, wantTruths)
+	}
+	for task, v := range wantTruths {
+		if math.Abs(got[task]-v) > 1e-9 {
+			t.Fatalf("watch delivered %v, want %v", got, wantTruths)
+		}
 	}
 }

@@ -152,9 +152,6 @@ type Store struct {
 	// surfaces it next to the ring version.
 	migrating atomic.Bool
 
-	hookMu   sync.RWMutex
-	onSubmit platform.SubmitListener
-
 	pollMu sync.Mutex
 	poller *FailoverPoller
 
@@ -394,27 +391,6 @@ func (s *Store) Shards() int { return len(s.topology().groups) }
 // operators can observe promotions.
 func (s *Store) Primary(gi int) int { return s.topology().groups[gi].primaryIdx() }
 
-// SetSubmitListener installs the acknowledged-submission hook: the
-// router-level feed for its own stream hub, seeing every submission any
-// shard acknowledged through this store.
-func (s *Store) SetSubmitListener(fn platform.SubmitListener) {
-	s.hookMu.Lock()
-	s.onSubmit = fn
-	s.hookMu.Unlock()
-}
-
-func (s *Store) notifySubmitted(items []platform.BatchSubmission) {
-	if len(items) == 0 {
-		return
-	}
-	s.hookMu.RLock()
-	fn := s.onSubmit
-	s.hookMu.RUnlock()
-	if fn != nil {
-		fn(items)
-	}
-}
-
 // Tasks returns the task list every shard serves.
 func (s *Store) Tasks(ctx context.Context) ([]mcs.Task, error) {
 	if err := ctx.Err(); err != nil {
@@ -510,14 +486,9 @@ func (s *Store) Submit(ctx context.Context, account string, task int, value floa
 	if account == "" {
 		return platform.ErrEmptyAccount
 	}
-	err := s.routeWrite(ctx, account, func(b platform.Store) error {
+	return s.routeWrite(ctx, account, func(b platform.Store) error {
 		return b.Submit(ctx, account, task, value, at)
 	})
-	if err != nil {
-		return err
-	}
-	s.notifySubmitted([]platform.BatchSubmission{{Account: account, Task: task, Value: value, At: at}})
-	return nil
 }
 
 // submitBatchTo dispatches one shard's sub-batch to its current primary,
@@ -635,13 +606,6 @@ func (s *Store) SubmitBatch(ctx context.Context, items []platform.BatchSubmissio
 			s.dispatchBatch(ctx, nt, rerouted, items, errs)
 		}
 	}
-	var acked []platform.BatchSubmission
-	for i := range items {
-		if errs[i] == nil {
-			acked = append(acked, items[i])
-		}
-	}
-	s.notifySubmitted(acked)
 	return errs
 }
 

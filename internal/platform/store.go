@@ -49,10 +49,6 @@ type Store interface {
 	// Stats summarizes the store. On a sharded store a partial
 	// scatter-gather marks the response Degraded.
 	Stats(ctx context.Context) (StatsResponse, error)
-	// SetSubmitListener installs (or, with nil, removes) the
-	// acknowledged-submission hook. At most one listener is active; a
-	// later call replaces the earlier one.
-	SetSubmitListener(fn SubmitListener)
 }
 
 // Pinger is an optional Store capability: a health probe answering like

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"math"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
+
+	"sybiltd/internal/fingerprint"
 )
 
 // storeSuite is the behavioral contract test for the Store interface:
@@ -112,7 +113,7 @@ func storeSuite(t *testing.T, name string, newStore func(t *testing.T, numTasks 
 
 	t.Run(name+"/fingerprints", func(t *testing.T) {
 		s := newStore(t, 1)
-		if err := s.RecordFingerprintFeatures(ctx, "alice", []float64{1, 2, 3}); err != nil {
+		if err := s.RecordFingerprintFeatures(ctx, "alice", testFeatures(1)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.RecordFingerprintFeatures(ctx, "", []float64{1}); !errors.Is(err, ErrEmptyAccount) {
@@ -122,7 +123,7 @@ func storeSuite(t *testing.T, name string, newStore func(t *testing.T, numTasks 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ds.Accounts) != 1 || len(ds.Accounts[0].Fingerprint) != 3 {
+		if len(ds.Accounts) != 1 || len(ds.Accounts[0].Fingerprint) != fingerprint.VectorLen {
 			t.Errorf("fingerprint not in dataset: %+v", ds.Accounts)
 		}
 	})
@@ -166,38 +167,6 @@ func storeSuite(t *testing.T, name string, newStore func(t *testing.T, numTasks 
 		}
 		if stats.Degraded {
 			t.Errorf("healthy store reports degraded: %q", stats.DegradedReason)
-		}
-	})
-
-	t.Run(name+"/submit listener sees acked only", func(t *testing.T) {
-		s := newStore(t, 2)
-		var mu sync.Mutex
-		var seen []BatchSubmission
-		s.SetSubmitListener(func(items []BatchSubmission) {
-			mu.Lock()
-			seen = append(seen, items...)
-			mu.Unlock()
-		})
-		if err := s.Submit(ctx, "alice", 0, 7, at(0)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Submit(ctx, "alice", 0, 8, at(1)); !errors.Is(err, ErrDuplicateReport) {
-			t.Fatal(err)
-		}
-		errs := s.SubmitBatch(ctx, []BatchSubmission{
-			{Account: "bob", Task: 0, Value: 9, At: at(2)},
-			{Account: "alice", Task: 0, Value: 10, At: at(2)}, // duplicate
-		})
-		if errs[0] != nil || errs[1] == nil {
-			t.Fatalf("batch = %v", errs)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if len(seen) != 2 {
-			t.Fatalf("listener saw %d submissions, want 2 acked: %+v", len(seen), seen)
-		}
-		if seen[0].Account != "alice" || seen[0].Value != 7 || seen[1].Account != "bob" || seen[1].Value != 9 {
-			t.Errorf("listener saw %+v", seen)
 		}
 	})
 

@@ -54,21 +54,22 @@ type StreamConfig struct {
 	// timer so old reports decay (truth.Online semantics). Zero disables
 	// automatic rounds: every report stays at full weight.
 	TickEvery time.Duration
-	// Heartbeat is the idle keep-alive interval on the SSE stream (a ":"
-	// comment line, invisible to the event protocol). Zero means 15s.
-	Heartbeat time.Duration
 	// WriteWindow bounds each wire write to a subscriber: a connection
 	// that cannot accept a flush within the window is disconnected (its
 	// pending buffer was already coalescing latest-wins while it stalled).
 	// Zero means 30s.
 	WriteWindow time.Duration
-	// Online tunes the shared evolving-truth estimator. The zero value
-	// uses truth.NewOnline defaults except MaxIterations, which is
-	// clamped to at most 25 (explicit larger values included): the
-	// estimator warm-starts from the previous truths on every report, so
-	// deep refinement per report buys nothing.
-	Online truth.OnlineConfig
 }
+
+const (
+	// watchHeartbeat is the idle keep-alive interval on the SSE stream (a
+	// ":" comment line, invisible to the event protocol).
+	watchHeartbeat = 15 * time.Second
+	// streamIterations caps each re-estimate's refinement loop: the
+	// estimator warm-starts from the previous truths on every burst, so
+	// deep refinement per burst buys nothing.
+	streamIterations = 25
+)
 
 func (c StreamConfig) withDefaults(numTasks int) StreamConfig {
 	if c.Buffer <= 0 {
@@ -80,23 +81,18 @@ func (c StreamConfig) withDefaults(numTasks int) StreamConfig {
 	if c.Epsilon <= 0 {
 		c.Epsilon = 1e-9
 	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 15 * time.Second
-	}
 	if c.WriteWindow <= 0 {
 		c.WriteWindow = 30 * time.Second
-	}
-	if c.Online.MaxIterations == 0 || c.Online.MaxIterations > 25 {
-		c.Online.MaxIterations = 25
 	}
 	return c
 }
 
 // StreamHub fans accepted reports out to watch subscribers as on-change
-// truth updates. Every acknowledged submission (single or batch) feeds a
-// shared truth.Online estimator; a single hub goroutine coalesces bursts
-// of reports into one incremental re-estimate, diffs the result against
-// the last published values, and pushes only the tasks that moved.
+// truth updates. The Server's submit handlers feed it every report the
+// store acknowledged (single or batch) into a shared truth.Online
+// estimator; a single hub goroutine coalesces bursts of reports into one
+// incremental re-estimate, diffs the result against the last published
+// values, and pushes only the tasks that moved.
 //
 // Backpressure is per subscriber and never propagates: each subscription
 // owns a bounded buffer with latest-wins drop-intermediate semantics
@@ -135,15 +131,15 @@ type StreamHub struct {
 }
 
 // NewStreamHub creates a hub over numTasks tasks, recording metrics into
-// reg (nil means obs.Default()). The hub goroutine starts lazily on the
-// first Subscribe, so a hub that is never watched costs one map write per
-// report and no estimation at all.
+// reg (nil means obs.Default()). It fails only when numTasks < 1. The hub
+// goroutine starts lazily on the first Subscribe, so a hub that is never
+// watched costs one map write per report and no estimation at all.
 func NewStreamHub(numTasks int, cfg StreamConfig, reg *obs.Registry) (*StreamHub, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
 	cfg = cfg.withDefaults(numTasks)
-	est, err := truth.NewOnline(numTasks, cfg.Online)
+	est, err := truth.NewOnline(numTasks, truth.OnlineConfig{MaxIterations: streamIterations})
 	if err != nil {
 		return nil, err
 	}
@@ -188,16 +184,30 @@ func (h *StreamHub) Feed(items []BatchSubmission) {
 	}
 	h.estMu.Unlock()
 	h.reports.Add(int64(len(items)))
-	h.notifyLoop()
+	select {
+	case h.wake <- struct{}{}:
+	default:
+	}
 }
 
-// seed preloads the estimator from an existing dataset (recovered or
-// pre-stream submissions), without waking the loop: the first subscriber
-// triggers the initial estimate. Pairs the estimator already holds are
-// skipped: the submit listener is installed before the seeding snapshot
-// is taken, so anything already present arrived via a live Feed and is
-// at least as new as the snapshot — replaying the snapshot over it would
-// rewind the estimator to an older value.
+// reset empties the estimator and the published values, so no estimate
+// from before outlives the reports behind it. The sequence carries on: a
+// resume token from before stays valid and gets every task re-sent.
+func (h *StreamHub) reset() {
+	est, _ := truth.NewOnline(h.numTasks, truth.OnlineConfig{MaxIterations: streamIterations}) // numTasks >= 1
+	h.estMu.Lock()
+	h.est, h.dirty = est, true
+	clear(h.lastPub)
+	h.estMu.Unlock()
+}
+
+// seed preloads the estimator from the store's dataset (Server.syncHub,
+// after a reset), without waking the loop: the subscriber that asked for
+// the sync triggers the estimate. Pairs the estimator already holds are
+// skipped: the handlers keep feeding between the reset and the read of
+// the dataset, so a pair already present arrived via a live Feed, and
+// observing it again would move it into the current round, undoing the
+// decay it has aged through.
 func (h *StreamHub) seed(ds *mcs.Dataset) {
 	h.estMu.Lock()
 	defer h.estMu.Unlock()
@@ -210,25 +220,6 @@ func (h *StreamHub) seed(ds *mcs.Dataset) {
 				h.dirty = true
 			}
 		}
-	}
-}
-
-// Tick advances the evolving-truth round: existing reports age one decay
-// step and the estimates are re-published if they moved. Called by the
-// hub loop when TickEvery is set; exported for embedders running their
-// own round cadence.
-func (h *StreamHub) Tick() {
-	h.estMu.Lock()
-	h.est.Tick()
-	h.dirty = true
-	h.estMu.Unlock()
-	h.notifyLoop()
-}
-
-func (h *StreamHub) notifyLoop() {
-	select {
-	case h.wake <- struct{}{}:
-	default:
 	}
 }
 
@@ -295,7 +286,8 @@ func (h *StreamHub) Subscribe(afterSeq uint64) (*Subscription, error) {
 }
 
 // loop is the hub's single estimator goroutine: it sleeps until woken by
-// Feed/Tick, coalesces everything that arrived, and publishes the diff.
+// Feed or its round ticker, coalesces everything that arrived, and
+// publishes the diff.
 func (h *StreamHub) loop() {
 	defer close(h.loopDone)
 	var tickC <-chan time.Time

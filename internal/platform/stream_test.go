@@ -3,20 +3,22 @@ package platform
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
-	"sybiltd/internal/truth"
 )
 
 // newStreamServer builds an isolated-registry server over n tasks plus an
@@ -654,56 +656,11 @@ func TestTakeDeliversMonotoneSeq(t *testing.T) {
 	}
 }
 
-// TestStreamConfigClampsMaxIterations: the Online doc promises at most 25
-// refinement iterations per re-estimate; an explicit larger value must be
-// clamped, not passed through, while smaller explicit values survive.
-func TestStreamConfigClampsMaxIterations(t *testing.T) {
-	c := StreamConfig{Online: truth.OnlineConfig{MaxIterations: 500}}.withDefaults(4)
-	if c.Online.MaxIterations != 25 {
-		t.Fatalf("MaxIterations 500 clamped to %d, want 25", c.Online.MaxIterations)
-	}
-	c = StreamConfig{Online: truth.OnlineConfig{MaxIterations: 3}}.withDefaults(4)
-	if c.Online.MaxIterations != 3 {
-		t.Fatalf("explicit MaxIterations 3 became %d, want 3", c.Online.MaxIterations)
-	}
-	c = StreamConfig{}.withDefaults(4)
-	if c.Online.MaxIterations != 25 {
-		t.Fatalf("zero MaxIterations defaulted to %d, want 25", c.Online.MaxIterations)
-	}
-}
-
-// TestInvalidStreamOnlineConfigFallsBack: an invalid estimator tuning
-// (Decay outside (0, 1]) must not leave the server with a nil hub — it
-// falls back to default tuning and the watch stream still works
-// end-to-end. Before the fix this panicked on the first submission.
-func TestInvalidStreamOnlineConfigFallsBack(t *testing.T) {
-	_, _, ts, _ := newStreamServer(t, 2, ServerOptions{
-		Stream: StreamConfig{Online: truth.OnlineConfig{Decay: 2}},
-	})
-	client := NewClient(ts.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	w, err := client.Watch(ctx, WatchOptions{})
-	if err != nil {
-		t.Fatalf("watch: %v", err)
-	}
-	if err := client.Submit(ctx, SubmissionRequest{Account: "ana", Task: 0, Value: -55}); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	u, ok := w.Next(5 * time.Second)
-	if !ok {
-		t.Fatal("no truth update pushed with fallback stream config")
-	}
-	if u.Task != 0 || u.Value != -55 {
-		t.Fatalf("update = %+v, want task 0 value -55", u)
-	}
-}
-
-// TestSeedSkipsPairsAlreadyFed: the submit listener is installed before
-// the seeding snapshot is taken, so a pair can reach the hub via Feed
-// first and then appear in the snapshot too. seed must keep the live-fed
-// value (at least as new as the snapshot) rather than rewinding it.
+// TestSeedSkipsPairsAlreadyFed: Server.syncHub empties the hub and then
+// reads the store, and a handler can feed a pair in between, so the pair
+// also appears in the dataset seed gets. seed must keep the fed
+// observation rather than observe it again. The dataset carries another
+// value for ana only to make a second observation visible.
 func TestSeedSkipsPairsAlreadyFed(t *testing.T) {
 	hub, err := NewStreamHub(1, StreamConfig{}, obs.NewRegistry())
 	if err != nil {
@@ -721,9 +678,251 @@ func TestSeedSkipsPairsAlreadyFed(t *testing.T) {
 	hub.estMu.Lock()
 	ests := hub.est.Estimate()
 	hub.estMu.Unlock()
-	// ana's live -60 must survive the stale -90 replay; with bo's -58 the
-	// estimate lies between the two live reports.
+	// ana's fed -60 must survive the dataset's -90; with bo's -58 the
+	// estimate lies between the two.
 	if ests[0] < -60 || ests[0] > -58 {
 		t.Fatalf("estimate %v outside [-60, -58]: seed overwrote a live feed", ests[0])
+	}
+}
+
+// watchSnapshot subscribes to c's truth stream and returns the per-task
+// values it delivers before the stream has been quiet for 300 ms: the
+// snapshot of the current estimates.
+func watchSnapshot(t *testing.T, c *Client) map[int]float64 {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	w, err := c.Watch(ctx, WatchOptions{})
+	if err != nil {
+		t.Fatalf("watch: %v", err)
+	}
+	got := make(map[int]float64)
+	for {
+		u, ok := w.Next(300 * time.Millisecond)
+		if !ok {
+			return got
+		}
+		got[u.Task] = u.Value
+	}
+}
+
+// TestWatchFeedsOnlyAcknowledgedReports: the submit handlers feed the
+// truth stream exactly the reports the store acknowledged. A duplicate,
+// an unknown task or a rate-limited account never reaches the hub, and a
+// follower, which serves no watch, neither seeds nor feeds its hub. The
+// router's half of the check is TestRouterWatchFeedsOnlyAcknowledgedReports.
+func TestWatchFeedsOnlyAcknowledgedReports(t *testing.T) {
+	ctx := context.Background()
+
+	t.Run("node", func(t *testing.T) {
+		_, _, ts, reg := newStreamServer(t, 4, ServerOptions{
+			// Three requests or items per account, with no refill in the test.
+			Limits: ServerLimits{RatePerSec: 1e-3, RateBurst: 3},
+		})
+		client := NewClient(ts.URL, WithRetries(0))
+		if err := client.Submit(ctx, SubmissionRequest{Account: "ana", Task: 0, Value: -50}); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Submit(ctx, SubmissionRequest{Account: "ana", Task: 0, Value: -90}); !errors.Is(err, ErrDuplicateReport) {
+			t.Fatalf("second submit = %v, want ErrDuplicateReport", err)
+		}
+		// The refusal still spends one of dee's tokens, leaving two.
+		if err := client.Submit(ctx, SubmissionRequest{Account: "dee", Task: 99, Value: -10}); !errors.Is(err, ErrUnknownTask) {
+			t.Fatalf("unknown-task submit = %v, want ErrUnknownTask", err)
+		}
+		results, err := client.SubmitBatch(ctx, []SubmissionRequest{
+			{Account: "bo", Task: 1, Value: -60},
+			{Account: "ana", Task: 0, Value: -95},
+			{Account: "cy", Task: 99, Value: -10},
+			{Account: "dee", Task: 0, Value: -10},
+			{Account: "eve", Task: 2, Value: -70},
+			{Account: "dee", Task: 1, Value: -10},
+			{Account: "dee", Task: 3, Value: -10},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []error{nil, ErrDuplicateReport, ErrUnknownTask, ErrRateLimited, nil, ErrRateLimited, ErrRateLimited}
+		for i, res := range results {
+			if err := res.Err(); !errors.Is(err, want[i]) {
+				t.Fatalf("item %d = %v, want %v", i, err, want[i])
+			}
+		}
+		if n := counterVal(reg, "stream.reports"); n != 3 {
+			t.Fatalf("stream.reports = %d, want the 3 accepted reports", n)
+		}
+		got := watchSnapshot(t, client)
+		wantTruths := map[int]float64{0: -50, 1: -60, 2: -70}
+		if len(got) != len(wantTruths) {
+			t.Fatalf("watch delivered %v, want %v", got, wantTruths)
+		}
+		for task, v := range wantTruths {
+			if math.Abs(got[task]-v) > 1e-9 {
+				t.Fatalf("watch delivered %v, want %v", got, wantTruths)
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		_, _, ts, reg := newStreamServer(t, 2, ServerOptions{})
+		client := NewClient(ts.URL, WithRetries(0))
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				own, v := fmt.Sprintf("g%02d", g), float64(g)
+				// All sixteen race for the shared account's report; one wins.
+				for _, req := range []SubmissionRequest{
+					{Account: "shared", Task: 0, Value: v},
+					{Account: own, Task: 0, Value: v},
+					{Account: own, Task: 0, Value: v},
+				} {
+					if err := client.Submit(ctx, req); err == nil {
+						accepted.Add(1)
+					} else if !errors.Is(err, ErrDuplicateReport) {
+						t.Error(err)
+					}
+				}
+				results, err := client.SubmitBatch(ctx, []SubmissionRequest{
+					{Account: "shared", Task: 1, Value: v},
+					{Account: own, Task: 1, Value: v},
+					{Account: own, Task: 0, Value: v},
+					{Account: own, Task: 9, Value: v},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, res := range results {
+					if res.Err() == nil {
+						accepted.Add(1)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if a := accepted.Load(); a != 2+2*16 {
+			t.Fatalf("accepted %d reports, want %d", a, 2+2*16)
+		}
+		if n := counterVal(reg, "stream.reports"); n != accepted.Load() {
+			t.Fatalf("stream.reports = %d, want the %d accepted reports", n, accepted.Load())
+		}
+	})
+
+	t.Run("follower", func(t *testing.T) {
+		dir := t.TempDir()
+		follower := startReplNode(t, dir, ReplicationOptions{
+			FollowerOf:   "http://primary.invalid",
+			ShipInterval: 10 * time.Millisecond,
+		})
+		primary := startReplNode(t, t.TempDir(), ReplicationOptions{
+			Followers:    []string{follower.srv.URL},
+			ShipInterval: 10 * time.Millisecond,
+		})
+		if err := primary.client.Submit(ctx, SubmissionRequest{Account: "ana", Task: 0, Value: -50}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := primary.client.SubmitBatch(ctx, []SubmissionRequest{
+			{Account: "bo", Task: 1, Value: -60},
+			{Account: "ana", Task: 0, Value: -95},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		primarySeq := primary.d.durableSeq()
+		waitFor(t, 5*time.Second, "follower catch-up", func() bool {
+			st, err := follower.client.ReplStatus(ctx)
+			return err == nil && st.DurableSeq == primarySeq
+		})
+		if n := counterVal(primary.reg, "stream.reports"); n != 2 {
+			t.Fatalf("primary stream.reports = %d, want the 2 accepted reports", n)
+		}
+		if n := counterVal(follower.reg, "stream.reports"); n != 0 {
+			t.Fatalf("follower stream.reports = %d after applying frames, want 0", n)
+		}
+		// Restarted over the data it applied, the follower seeds nothing.
+		follower.stop()
+		again := startReplNode(t, dir, ReplicationOptions{FollowerOf: "http://primary.invalid"})
+		if n := again.store.NumAccounts(); n != 2 {
+			t.Fatalf("restarted follower holds %d accounts, want 2", n)
+		}
+		hub := again.srv.Config.Handler.(*Server).hub
+		hub.estMu.Lock()
+		seeded := hub.est.Has("ana", 0) || hub.est.Has("bo", 1)
+		hub.estMu.Unlock()
+		if seeded {
+			t.Fatal("a follower's hub was seeded from its dataset")
+		}
+	})
+}
+
+// TestWatchFollowsPrimaryRole: a replicated node streams only while it is
+// primary. Demoted by a newer primary's ship, it ends its open watch and
+// refuses new ones with not_primary. Promoted again, it streams what its
+// store holds: the reports it applied as a follower, and not its own
+// report that the newer primary's snapshot erased.
+func TestWatchFollowsPrimaryRole(t *testing.T) {
+	ctx := context.Background()
+	a := startReplNode(t, t.TempDir(), ReplicationOptions{ShipInterval: 10 * time.Millisecond})
+	b := startReplNode(t, t.TempDir(), ReplicationOptions{FollowerOf: "x", ShipInterval: 10 * time.Millisecond})
+	// Acknowledged by a alone: b never receives it.
+	if err := a.client.Submit(ctx, SubmissionRequest{Account: "ana", Task: 0, Value: -50}); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
+	defer cancel()
+	w, err := a.client.Watch(wctx, WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, ok := w.Next(5 * time.Second); !ok || u.Task != 0 || u.Value != -50 {
+		t.Fatalf("first update = %+v, %v; want task 0 value -50", u, ok)
+	}
+
+	// b becomes primary at epoch 1 and ships to a: a steps down, adopts
+	// b's snapshot (erasing ana) and applies b's frames.
+	if _, err := b.client.ReplSetRole(ctx, ReplRoleRequest{Role: RolePrimary, Epoch: 1, Followers: []string{a.srv.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.client.Submit(ctx, SubmissionRequest{Account: "bo", Task: 1, Value: -60}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "a adopts b's snapshot", func() bool {
+		return a.repl.Role() == RoleFollower && a.d.Epoch() == 1 && a.d.durableSeq() == b.d.durableSeq()
+	})
+	if err := b.client.Submit(ctx, SubmissionRequest{Account: "cy", Task: 2, Value: -70}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "a applies b's frames", func() bool {
+		return a.d.durableSeq() == b.d.durableSeq()
+	})
+
+	// The open watch ends rather than serving the old estimates.
+	deadline := time.After(5 * time.Second)
+	for open := true; open; {
+		select {
+		case u, ok := <-w.Updates():
+			if open = ok; ok {
+				t.Fatalf("demoted node pushed %+v", u)
+			}
+		case <-deadline:
+			t.Fatal("the demoted node's watch stayed open")
+		}
+	}
+	if _, err := a.client.Watch(wctx, WatchOptions{}); !errors.Is(err, ErrNotPrimary) {
+		t.Fatalf("watch on a follower = %v, want ErrNotPrimary", err)
+	}
+
+	if _, err := a.client.ReplSetRole(ctx, ReplRoleRequest{Role: RolePrimary, Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	got := watchSnapshot(t, a.client)
+	want := map[int]float64{1: -60, 2: -70}
+	if len(got) != len(want) || math.Abs(got[1]-want[1]) > 1e-9 || math.Abs(got[2]-want[2]) > 1e-9 {
+		t.Fatalf("promoted node streams %v, want %v", got, want)
+	}
+	if n := counterVal(a.reg, "stream.reports"); n != 1 {
+		t.Fatalf("a's stream.reports = %d, want its 1 own ack", n)
 	}
 }
