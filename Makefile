@@ -126,10 +126,13 @@ bench:
 
 # Threshold-grouping benchmarks, one iteration each: the 500-account AG-TR
 # pass at GOMAXPROCS 1, 2, 4 and 8, which fails if any partition differs
-# from the sequential one, and the AG-TR/AG-TS size sweep at 500 and 2,000
-# accounts (drop -short to add 8,000).
+# from the sequential one, the AG-TR/AG-TS size sweep at 500 and 2,000
+# accounts, and the AG-TR pass from a kept pass over 2,000 accounts with
+# none or 1% of them changed, which fails if its partition differs from a
+# full pass (drop -short to add 8,000 accounts, and 50,000 for the kept
+# pass).
 bench-grouping:
-	$(GO) test -short -run '^$$' -bench 'AGTRGrouping500|ThresholdGroupingSweep' -benchtime=1x .
+	$(GO) test -short -run '^$$' -bench 'AGTRGrouping500|ThresholdGroupingSweep|KeptPass' -benchtime=1x .
 
 # Router gather benchmark, one iteration each: Store.Dataset over three
 # HTTP shards at 10,000 accounts with no shard, one shard or every shard

@@ -9,18 +9,21 @@ package sybiltd_test
 // evaluation in its output (EXPERIMENTS.md records a curated run).
 
 import (
+	"context"
 	"fmt"
-
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sybiltd"
 	"sybiltd/internal/core"
 	"sybiltd/internal/experiment"
 	"sybiltd/internal/grouping"
+	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
 	"sybiltd/internal/simulate"
 	"sybiltd/internal/truth"
@@ -415,6 +418,147 @@ func BenchmarkThresholdGroupingSweep(b *testing.B) {
 					pairs := float64(accounts) * float64(accounts-1) / 2
 					b.ReportMetric(float64(pruned.Value()-pruned0)*100/(pairs*float64(b.N)), "bound-pruned-%")
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkKeptPass times an AG-TR pass from the pass it kept, as a
+// store's td-tr aggregate runs it (platform.KeptPass): with no account
+// changed since, when the kept partition is reused, and with 1% of the
+// accounts changed, when the whole pair pass runs. Campaigns are those of
+// BenchmarkThresholdGroupingSweep (simulate seed 11); the 50,000-account
+// one is seven copies of the 8,000-account campaign, each re-IDed and
+// shifted by whole days, cut to 50,000 accounts, because simulate.Build
+// alone takes about 30 s at 8,000. Each update, made outside the timer,
+// changes the accounts and never the time origin: each gets a report on a
+// task it has not reported on, a minute after its latest report, or when
+// it has reported on every task loses its latest report. Besides ns/op it
+// reports ms/update, pairs-tested/update (n(n-1)/2 minus the pairs
+// reused) and the kept pass's bytes. The first update of each case is
+// checked against a full pass, so a wrong partition fails the benchmark.
+// -short runs 2,000 accounts only.
+func BenchmarkKeptPass(b *testing.B) {
+	ctx := context.Background()
+	g := grouping.AGTR{Phi: 0.3}
+	reused := obs.Default().Counter("grouping.agtr.pairs_reused")
+	var (
+		base     *mcs.Dataset // the 8,000-account campaign, once built
+		campaign func(b *testing.B, accounts int) *mcs.Dataset
+	)
+	campaign = func(b *testing.B, accounts int) *mcs.Dataset {
+		if accounts <= 8000 {
+			if accounts == 8000 && base != nil {
+				return base
+			}
+			sc, err := simulate.Build(simulate.Config{Seed: 11, NumLegit: accounts - 10, SybilActiveness: 0.8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if accounts == 8000 {
+				base = sc.Dataset
+			}
+			return sc.Dataset
+		}
+		src := campaign(b, 8000)
+		ds := &mcs.Dataset{Tasks: src.Tasks}
+		for c := 0; len(ds.Accounts) < accounts; c++ {
+			for _, a := range src.Accounts[:min(len(src.Accounts), accounts-len(ds.Accounts))] {
+				cp := mcs.Account{ID: fmt.Sprintf("c%d-%s", c, a.ID), Fingerprint: a.Fingerprint}
+				for _, o := range a.Observations {
+					o.Time = o.Time.Add(time.Duration(c) * 24 * time.Hour)
+					cp.Observations = append(cp.Observations, o)
+				}
+				ds.Accounts = append(ds.Accounts, cp)
+			}
+		}
+		return ds
+	}
+	sizes := []int{2000, 8000, 50000}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, accounts := range sizes {
+		pristine := campaign(b, accounts)
+		origin, _, _ := pristine.TimeSpan()
+		var first *grouping.Pass // the pass over the pristine campaign
+		for _, percent := range []int{0, 1} {
+			b.Run(fmt.Sprintf("accounts=%d/changed=%d%%", accounts, percent), func(b *testing.B) {
+				ds := &mcs.Dataset{Tasks: pristine.Tasks, Accounts: make([]mcs.Account, len(pristine.Accounts))}
+				for i, a := range pristine.Accounts {
+					a.Observations = append([]mcs.Observation(nil), a.Observations...)
+					ds.Accounts[i] = a
+				}
+				if first == nil {
+					var err error
+					if _, first, err = g.GroupPass(ctx, ds, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				kept := first
+				pairs := int64(accounts) * int64(accounts-1) / 2
+				rng := rand.New(rand.NewSource(1))
+				var tested int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					changed := 0
+					for _, ai := range rng.Perm(accounts) {
+						if changed == accounts*percent/100 {
+							break
+						}
+						a := &ds.Accounts[ai]
+						if len(a.Observations) == 0 {
+							continue
+						}
+						last := 0
+						for k, o := range a.Observations {
+							if o.Time.After(a.Observations[last].Time) {
+								last = k
+							}
+						}
+						latest := a.Observations[last]
+						if !latest.Time.After(origin) {
+							continue
+						}
+						// Report on a task not yet reported, a minute after
+						// the latest report, or else drop the latest one.
+						seen := a.TaskSet()
+						task := 0
+						for task < len(ds.Tasks) && seen[task] {
+							task++
+						}
+						if task < len(ds.Tasks) {
+							a.Observations = append(a.Observations, mcs.Observation{Task: task, Value: latest.Value, Time: latest.Time.Add(time.Minute)})
+						} else {
+							a.Observations = append(a.Observations[:last], a.Observations[last+1:]...)
+						}
+						changed++
+					}
+					r0 := reused.Value()
+					b.StartTimer()
+					got, pass, err := g.GroupPass(ctx, ds, kept)
+					b.StopTimer()
+					if err != nil {
+						b.Fatal(err)
+					}
+					tested += pairs - (reused.Value() - r0)
+					if i == 0 {
+						full, err := g.Group(ds)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, full) {
+							b.Fatalf("partition from the kept pass differs from a full pass (%d vs %d groups)", got.NumGroups(), full.NumGroups())
+						}
+					}
+					kept = pass
+					b.StartTimer()
+				}
+				b.StopTimer()
+				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/update")
+				b.ReportMetric(float64(tested)/float64(b.N), "pairs-tested/update")
+				b.ReportMetric(float64(kept.Bytes()), "kept-bytes")
 			})
 		}
 	}

@@ -4,8 +4,6 @@
 // find it, so the graph itself is never materialized.
 package graph
 
-import "sort"
-
 // UnionFind is a disjoint-set forest with union by rank and path halving.
 // It is not safe for concurrent use.
 type UnionFind struct {
@@ -60,17 +58,28 @@ func (uf *UnionFind) Union(x, y int) bool {
 func (uf *UnionFind) Count() int { return uf.count }
 
 // Components returns the sets as sorted slices, ordered by smallest member.
+// One ascending scan numbers each root the first time it is met, so a set's
+// slot follows its smallest member and its members arrive in order; the
+// members of all sets share one backing array.
 func (uf *UnionFind) Components() [][]int {
-	byRoot := make(map[int][]int)
+	slot := make([]int, len(uf.parent)) // root → its set's slot + 1
+	sizes := make([]int, 0, uf.count)
 	for i := range uf.parent {
 		r := uf.Find(i)
-		byRoot[r] = append(byRoot[r], i)
+		if slot[r] == 0 {
+			sizes = append(sizes, 0)
+			slot[r] = len(sizes)
+		}
+		sizes[slot[r]-1]++
 	}
-	comps := make([][]int, 0, len(byRoot))
-	for _, members := range byRoot {
-		sort.Ints(members)
-		comps = append(comps, members)
+	comps := make([][]int, len(sizes))
+	members := make([]int, len(uf.parent))
+	for c, size := range sizes {
+		comps[c], members = members[:0:size], members[size:]
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
+	for i := range uf.parent {
+		c := slot[uf.Find(i)] - 1
+		comps[c] = append(comps[c], i)
+	}
 	return comps
 }

@@ -147,16 +147,39 @@ func (g AGTR) Group(ds *mcs.Dataset) (Grouping, error) {
 // the context error is returned, so a request deadline can bound a
 // grouping pass that would otherwise run for seconds.
 func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, error) {
+	grp, _, err := g.group(ctx, ds, nil, false)
+	return grp, err
+}
+
+// GroupPass is GroupContext starting from kept, a pass GroupPass returned
+// earlier, and it returns the pass to keep for the next call. When kept
+// was made with the same φ, Mode and TimeUnit over the same accounts in
+// the same order, each with the same (task, time) sequence, its partition
+// is the answer and no pair is tested (see Pass); otherwise the whole pair
+// pass runs. A nil kept keeps nothing.
+func (g AGTR) GroupPass(ctx context.Context, ds *mcs.Dataset, kept *Pass) (Grouping, *Pass, error) {
+	return g.group(ctx, ds, kept, true)
+}
+
+// group is GroupPass; a full pass copies its input into a new Pass only
+// when keep is set, so a caller that keeps nothing pays nothing for it.
+func (g AGTR) group(ctx context.Context, ds *mcs.Dataset, kept *Pass, keep bool) (Grouping, *Pass, error) {
 	if ds == nil {
-		return Grouping{}, ErrNilDataset
+		return Grouping{}, nil, ErrNilDataset
 	}
 	n := ds.NumAccounts()
 	if n == 0 {
-		return Grouping{}, nil
+		return Grouping{}, nil, nil
 	}
 	phi := g.Phi
 	if phi == 0 && !g.PhiSet {
 		phi = DefaultPhi
+	}
+	origin, unit := g.timeAxis(ds)
+	key := trKey{phi: phi, absolute: g.Mode == TRAbsolute, origin: origin, unit: unit}
+	if kept.match(key, ds) {
+		obs.Default().Counter("grouping.agtr.pairs_reused").Add(int64(n) * int64(n-1) / 2)
+		return Grouping{Groups: copyGroups(kept.groups, n)}, kept, nil
 	}
 
 	// Precompute the series and their ends once; the pair pass is O(n²),
@@ -171,7 +194,6 @@ func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, erro
 	//   3. the task DTW alone reaches φ.
 	// The distance_matrix_seconds timer covers this pair pass (perfbench
 	// reports it as dtw_matrix_ms).
-	origin, unit := g.timeAxis(ds)
 	accts := make([]trAccount, n)
 	for i := range accts {
 		a := &accts[i]
@@ -221,12 +243,15 @@ func (g AGTR) GroupContext(ctx context.Context, ds *mcs.Dataset) (Grouping, erro
 		fullDTWs.Add(w.fullDTWs)
 	}
 	if err != nil {
-		return Grouping{}, fmt.Errorf("grouping: AG-TR cancelled: %w", err)
+		return Grouping{}, nil, fmt.Errorf("grouping: AG-TR cancelled: %w", err)
 	}
 	sw = obs.Default().Timer("grouping.agtr.components_seconds").Start()
 	grp := fromComponents(uf.Components())
 	sw.Stop()
-	return grp, nil
+	if !keep {
+		return grp, nil, nil
+	}
+	return grp, newPass(key, ds, grp), nil
 }
 
 var (

@@ -13,10 +13,10 @@ import (
 
 // TestAGTRPruneCountersCoverEveryPair groups the 500-account campaign of
 // BenchmarkAGTRGrouping500 and checks the pair pass's counters: every pair
-// leaves the predicate exactly once, so the three deltas sum to n(n-1)/2 at
-// any GOMAXPROCS, and every edge needs the full Eq. (8) sum, so
-// pairs_full_dtw is at least the edge count (measured here without any
-// pruning).
+// leaves the predicate exactly once or is reused from a kept pass (never,
+// in a full pass), so the four deltas sum to n(n-1)/2 at any GOMAXPROCS,
+// and every edge needs the full Eq. (8) sum, so pairs_full_dtw is at least
+// the edge count (measured here without any pruning).
 func TestAGTRPruneCountersCoverEveryPair(t *testing.T) {
 	sc, err := simulate.Build(simulate.Config{Seed: 11, NumLegit: 490, SybilActiveness: 0.8})
 	if err != nil {
@@ -50,6 +50,7 @@ func TestAGTRPruneCountersCoverEveryPair(t *testing.T) {
 		reg.Counter("grouping.agtr.pairs_pruned_bound"),
 		reg.Counter("grouping.agtr.pairs_pruned_task_dtw"),
 		reg.Counter("grouping.agtr.pairs_full_dtw"),
+		reg.Counter("grouping.agtr.pairs_reused"),
 	}
 	for _, procs := range []int{1, 4} {
 		withProcs(t, procs, func() {
@@ -71,6 +72,9 @@ func TestAGTRPruneCountersCoverEveryPair(t *testing.T) {
 			}
 			if delta[2] < edges {
 				t.Errorf("procs %d: pairs_full_dtw = %d, below the %d edges", procs, delta[2], edges)
+			}
+			if delta[3] != 0 {
+				t.Errorf("procs %d: a full pass reused %d pairs", procs, delta[3])
 			}
 			t.Logf("procs %d: pruned by bound %d, by task DTW %d, full DTW %d; %d edges", procs, delta[0], delta[1], delta[2], edges)
 		})

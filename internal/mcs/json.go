@@ -69,6 +69,19 @@ func (ds *Dataset) EncodeJSON(w io.Writer) error {
 // DecodeJSON reads a dataset previously written by EncodeJSON and
 // validates it.
 func DecodeJSON(r io.Reader) (*Dataset, error) {
+	ds, err := DecodeJSONUnvalidated(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := ds.Validate(); err != nil {
+		return nil, fmt.Errorf("mcs: decoded dataset invalid: %w", err)
+	}
+	return ds, nil
+}
+
+// DecodeJSONUnvalidated is DecodeJSON without the final Validate, for a
+// caller that repairs what it knows to be stale before validating.
+func DecodeJSONUnvalidated(r io.Reader) (*Dataset, error) {
 	var in datasetJSON
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&in); err != nil {
@@ -90,9 +103,6 @@ func DecodeJSON(r io.Reader) (*Dataset, error) {
 			a.Fingerprint = append([]float64(nil), aj.Fingerprint...)
 		}
 		ds.Accounts = append(ds.Accounts, a)
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, fmt.Errorf("mcs: decoded dataset invalid: %w", err)
 	}
 	return ds, nil
 }

@@ -425,18 +425,37 @@ func readSnapshot(fsys wal.FS, path string) (snapshotFile, *mcs.Dataset, error) 
 	if snap.Version != snapshotVersion {
 		return snapshotFile{}, nil, fmt.Errorf("unsupported snapshot version %d", snap.Version)
 	}
-	ds, err := mcs.DecodeJSON(bytes.NewReader(snap.Dataset))
+	ds, err := decodeSnapshotDataset(snap.Dataset)
 	if err != nil {
 		return snapshotFile{}, nil, err
 	}
 	return snap, ds, nil
 }
 
-// storeFromDataset rebuilds in-memory store state from a snapshot
-// dataset, preserving account registration order. A fingerprint that
-// checkFeatures refuses is dropped, as replay drops its record: a snapshot
-// written before the store checked the length could otherwise hold
-// vectors that a later upload's length contradicts.
+// decodeSnapshotDataset decodes the dataset of a snapshot, read from disk
+// or shipped by a primary. It drops every fingerprint checkFeatures
+// refuses before it validates, as replay drops such a record: a snapshot
+// written before the store checked vector lengths may mix them, which
+// mcs validation refuses, and the node could then neither restart nor
+// follow.
+func decodeSnapshotDataset(data []byte) (*mcs.Dataset, error) {
+	ds, err := mcs.DecodeJSONUnvalidated(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	for i := range ds.Accounts {
+		if a := &ds.Accounts[i]; checkFeatures(a.Fingerprint) != nil {
+			a.Fingerprint = nil
+		}
+	}
+	if err := ds.Validate(); err != nil {
+		return nil, fmt.Errorf("mcs: decoded dataset invalid: %w", err)
+	}
+	return ds, nil
+}
+
+// storeFromDataset rebuilds in-memory store state from a snapshot dataset
+// (see decodeSnapshotDataset), preserving account registration order.
 func storeFromDataset(ds *mcs.Dataset) *LocalStore {
 	s := NewLocalStore(ds.Tasks)
 	for i := range ds.Accounts {
@@ -445,7 +464,7 @@ func storeFromDataset(ds *mcs.Dataset) *LocalStore {
 		for _, o := range acct.Observations {
 			st.observations[o.Task] = o
 		}
-		if checkFeatures(acct.Fingerprint) == nil {
+		if len(acct.Fingerprint) > 0 {
 			st.fingerprint = append([]float64(nil), acct.Fingerprint...)
 		}
 	}

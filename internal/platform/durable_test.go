@@ -728,6 +728,67 @@ func TestMixedLengthFingerprintsCannotBrickANode(t *testing.T) {
 			t.Fatalf("reopened dataset = %+v, want old's report without its short vector and full's %d features", ds.Accounts, fingerprint.VectorLen)
 		}
 	})
+
+	// A snapshot that already mixes 3- and 2-feature vectors, as an
+	// earlier version could write one, fails mcs validation as it stands.
+	mixed := mcs.NewDataset(2)
+	for i, n := range []int{3, 2, fingerprint.VectorLen} {
+		mixed.AddAccount(mcs.Account{ID: fmt.Sprintf("fp-%d", n), Observations: []mcs.Observation{{Task: i % 2, Value: -50, Time: at(i)}}, Fingerprint: testFeatures(1)[:n]})
+	}
+	var mixedJSON bytes.Buffer
+	if err := mixed.EncodeJSON(&mixedJSON); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mcs.DecodeJSON(bytes.NewReader(mixedJSON.Bytes())); err == nil {
+		t.Fatal("mcs accepted mixed fingerprint lengths; the subtests below would be vacuous")
+	}
+	wantMixed := func(t *testing.T, ds *mcs.Dataset) {
+		t.Helper()
+		if len(ds.Accounts) != 3 {
+			t.Fatalf("dataset has %d accounts, want the snapshot's 3", len(ds.Accounts))
+		}
+		for i, a := range ds.Accounts {
+			switch {
+			case i == 2 && !reflect.DeepEqual(a.Fingerprint, testFeatures(1)):
+				t.Errorf("%s lost its %d features", a.ID, fingerprint.VectorLen)
+			case i < 2 && (len(a.Fingerprint) != 0 || len(a.Observations) != 1):
+				t.Errorf("%s = %+v, want its report without its short vector", a.ID, a)
+			}
+		}
+	}
+
+	t.Run("mixed snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		env, err := json.Marshal(snapshotFile{Version: snapshotVersion, Dataset: mixedJSON.Bytes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), env, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, d, _, err := OpenDurable(dir, testTasks(2), DurableOptions{})
+		if err != nil {
+			t.Fatalf("open over a mixed-length snapshot: %v", err)
+		}
+		ds, err := store.Dataset(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMixed(t, ds)
+		wantMixed(t, closeAndReopen(t, dir, d))
+	})
+
+	t.Run("mixed ship", func(t *testing.T) {
+		node := startReplNode(t, t.TempDir(), ReplicationOptions{FollowerOf: "x"})
+		resp, err := node.repl.ApplyShip(ctx, ReplShipRequest{Epoch: 1, PrimarySeq: 7, Snapshot: mixedJSON.Bytes(), SnapshotSeq: 7})
+		if err != nil || resp.AppliedSeq != 7 {
+			t.Fatalf("ship of a mixed-length snapshot: %+v, %v; want applied 7", resp, err)
+		}
+		node.store.mu.RLock()
+		ds := node.store.datasetLocked()
+		node.store.mu.RUnlock()
+		wantMixed(t, ds)
+	})
 }
 
 // FuzzDurableRecovery feeds recovery WAL files whose frames all carry a
@@ -738,7 +799,9 @@ func TestMixedLengthFingerprintsCannotBrickANode(t *testing.T) {
 // repairs and never refuses, so OpenDurable must open every such log;
 // after a crash a second open must find a clean log holding the same
 // dataset, and after a clean Close, which writes a snapshot, so must a
-// third.
+// third. The log lives on an in-memory wal.FS (memFS), so an input costs
+// no directory and no fsync; TestTortureCrashAtEveryOffset and
+// TestRecoveryCorruptionTable cover recovery on the OS filesystem.
 func FuzzDurableRecovery(f *testing.F) {
 	var all [][]byte
 	for _, rec := range []walRecord{
@@ -763,11 +826,17 @@ func FuzzDurableRecovery(f *testing.F) {
 				framed = append(framed, frame...)
 			}
 		}
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walFileName), append(framed, tail...), 0o644); err != nil {
+		const dir = "node"
+		fsys := newMemFS()
+		f, err := fsys.OpenFile(filepath.Join(dir, walFileName), os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
 			t.Fatal(err)
 		}
-		store, d, _, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+		if _, err := f.Write(append(framed, tail...)); err != nil {
+			t.Fatal(err)
+		}
+		opts := DurableOptions{FS: fsys}
+		store, d, _, err := OpenDurable(dir, testTasks(3), opts)
 		if err != nil {
 			t.Fatalf("recovery refused the log: %v", err)
 		}
@@ -775,7 +844,7 @@ func FuzzDurableRecovery(f *testing.F) {
 		if err := d.Abort(); err != nil {
 			t.Fatal(err)
 		}
-		again, d2, stats, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+		again, d2, stats, err := OpenDurable(dir, testTasks(3), opts)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
@@ -788,7 +857,7 @@ func FuzzDurableRecovery(f *testing.F) {
 		if err := d2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		third, d3, _, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+		third, d3, _, err := OpenDurable(dir, testTasks(3), opts)
 		if err != nil {
 			t.Fatalf("reopen after Close: %v", err)
 		}

@@ -68,6 +68,9 @@ type LocalStore struct {
 	// the only writers of the campaign state. Both are guarded by mu.
 	incarnation uint64
 	version     uint64
+
+	// kept holds the last td-tr grouping pass for the next Aggregate.
+	kept KeptPass
 }
 
 // LocalStore implements Store and the resharding Fencer capability.
@@ -726,13 +729,14 @@ func (s *LocalStore) Stats(ctx context.Context) (StatsResponse, error) {
 // and returns the result plus the per-task weighted standard errors (see
 // truth.Uncertainty). The context is propagated into the grouping worker
 // pools and the truth loop; see AggregateDataset for the degradation
-// policy.
+// policy. td-tr starts from the store's kept grouping pass (see
+// KeptPass).
 func (s *LocalStore) Aggregate(ctx context.Context, method string) (truth.Result, []float64, error) {
 	ds, err := s.Dataset(ctx)
 	if err != nil {
 		return truth.Result{}, nil, err
 	}
-	return AggregateDataset(ctx, method, ds)
+	return s.kept.Aggregate(ctx, method, ds)
 }
 
 // AggregateDataset runs the named aggregation method over ds under the
@@ -740,10 +744,31 @@ func (s *LocalStore) Aggregate(ctx context.Context, method string) (truth.Result
 // graceful degradation is switched on, so a grouping pass cancelled by
 // the deadline (or failing outright) yields per-account estimates flagged
 // Result.Degraded instead of an error (see core.Framework.RunContext).
-// Every Store implementation aggregates through this one function — the
-// single-node and the sharded merged-dataset paths are bit-identical on
-// identical input.
+// Every Store implementation aggregates through this one path, from the
+// pass it keeps (KeptPass.Aggregate) — the single-node and the sharded
+// merged-dataset paths are bit-identical on identical input, whatever
+// pass they kept.
 func AggregateDataset(ctx context.Context, method string, ds *mcs.Dataset) (truth.Result, []float64, error) {
+	return (*KeptPass)(nil).Aggregate(ctx, method, ds)
+}
+
+// KeptPass keeps the last AG-TR grouping pass (grouping.Pass) of a store's
+// td-tr aggregates, so that the next one over a campaign whose accounts
+// have not changed reuses its partition and tests no pair. Each store owns
+// one; the zero value is ready to use, and a nil *KeptPass keeps nothing.
+// Concurrent aggregates each start from the latest pass and publish their
+// own: a pass is exact whatever pass it starts from, so it does not matter
+// which one wins. A grouping pass that fails or is cancelled, so that the
+// answer degrades, publishes nothing. Memory: one grouping.Pass,
+// O(reports + accounts).
+type KeptPass struct {
+	mu   sync.Mutex
+	pass *grouping.Pass
+}
+
+// Aggregate is AggregateDataset, with td-tr's grouping starting from, and
+// keeping, the last pass.
+func (k *KeptPass) Aggregate(ctx context.Context, method string, ds *mcs.Dataset) (truth.Result, []float64, error) {
 	alg, err := AlgorithmByName(method)
 	if err != nil {
 		return truth.Result{}, nil, err
@@ -751,6 +776,9 @@ func AggregateDataset(ctx context.Context, method string, ds *mcs.Dataset) (trut
 	if fw, ok := alg.(core.Framework); ok {
 		// Serving policy: a degraded answer beats a failed campaign.
 		fw.Config.DegradeOnGroupingFailure = true
+		if tr, ok := fw.Grouper.(grouping.AGTR); ok && k != nil {
+			fw.Grouper = keptGrouper{AGTR: tr, kept: k}
+		}
 		alg = fw
 	}
 	defer obs.Default().Timer("platform.aggregate_seconds").Start().Stop()
@@ -763,6 +791,31 @@ func AggregateDataset(ctx context.Context, method string, ds *mcs.Dataset) (trut
 		return truth.Result{}, nil, fmt.Errorf("platform: uncertainty %s: %w", method, err)
 	}
 	return res, unc, nil
+}
+
+// keptGrouper runs AG-TR from the pass kept holds, and keeps the pass it
+// makes when the grouping succeeds.
+type keptGrouper struct {
+	grouping.AGTR
+	kept *KeptPass
+}
+
+func (g keptGrouper) Group(ds *mcs.Dataset) (grouping.Grouping, error) {
+	return g.GroupContext(context.Background(), ds)
+}
+
+func (g keptGrouper) GroupContext(ctx context.Context, ds *mcs.Dataset) (grouping.Grouping, error) {
+	g.kept.mu.Lock()
+	last := g.kept.pass
+	g.kept.mu.Unlock()
+	grp, pass, err := g.GroupPass(ctx, ds, last)
+	if err != nil {
+		return grp, err
+	}
+	g.kept.mu.Lock()
+	g.kept.pass = pass
+	g.kept.mu.Unlock()
+	return grp, nil
 }
 
 // AlgorithmByName maps API method names to algorithms.

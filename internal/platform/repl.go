@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"sybiltd/internal/mcs"
 	"sybiltd/internal/obs"
 )
 
@@ -797,7 +796,7 @@ func (r *Replication) applyFrames(frames []ReplFrame, epoch uint64) error {
 // adopting its dataset, sequence number, and epoch, and persisting the
 // result before answering (the adoption must survive a crash).
 func (r *Replication) resetFromSnapshot(req ReplShipRequest) error {
-	ds, err := mcs.DecodeJSON(bytes.NewReader(req.Snapshot))
+	ds, err := decodeSnapshotDataset(req.Snapshot)
 	if err != nil {
 		return fmt.Errorf("%w: snapshot undecodable: %v", ErrMalformedRequest, err)
 	}

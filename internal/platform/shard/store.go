@@ -159,6 +159,10 @@ type Store struct {
 	// EnableRingStatePersistence; floorPath empty means disabled.
 	floorMu   sync.Mutex
 	floorPath string
+
+	// kept holds the last td-tr grouping pass over the merged dataset,
+	// for the next Aggregate.
+	kept platform.KeptPass
 }
 
 // Store implements platform.Store plus the HealthReporter capability.
@@ -753,12 +757,14 @@ func failedLabel(failed []int) string {
 }
 
 // Aggregate scatter-gathers shard datasets, merges the reachable ones,
-// and aggregates the merged campaign with the same AggregateDataset the
-// single-node store uses — on identical input the results are
-// bit-identical. Partial gathers reuse the PR-4 degradation contract: the
-// result is flagged Degraded with the unreachable shards named, because a
-// truth estimate missing part of the crowd is still an answer, just a
-// weaker one. Only a fleet that is entirely unreachable is an error.
+// and aggregates the merged campaign through the same path as the
+// single-node store, from the router's own kept grouping pass
+// (platform.KeptPass) — on identical input the results are
+// bit-identical to platform.AggregateDataset. A partial gather degrades:
+// the result is flagged Degraded with the unreachable shards named,
+// because a truth estimate missing part of the crowd is still an answer,
+// just a weaker one. Only a fleet that is entirely unreachable is an
+// error.
 func (s *Store) Aggregate(ctx context.Context, method string) (truth.Result, []float64, error) {
 	// Validate the method before touching the network: an unknown method
 	// must answer 400 even when every shard is down.
@@ -776,7 +782,7 @@ func (s *Store) Aggregate(ctx context.Context, method string) (truth.Result, []f
 	if len(failed) == len(t.groups) {
 		return truth.Result{}, nil, fmt.Errorf("%s: %w", t.label(failed[0]), errs[failed[0]])
 	}
-	res, unc, err := platform.AggregateDataset(ctx, method, s.merge(t, dss))
+	res, unc, err := s.kept.Aggregate(ctx, method, s.merge(t, dss))
 	if err != nil {
 		return truth.Result{}, nil, err
 	}
