@@ -141,15 +141,19 @@ bench-grouping:
 bench-gather:
 	$(GO) test -short -run '^$$' -bench RouterGather -benchtime=1x ./internal/platform/shard/
 
-# One fuzz target per go test run: the DTW kernels and bounds, then WAL
-# recovery over CRC-valid frames.
+# One fuzz target per go test run: the DTW kernels and bounds, WAL
+# recovery over CRC-valid frames, then the dataset decoder, whose every
+# accepted dataset EncodeJSON must write byte for byte as encoding/json.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDistance -fuzztime=30s ./internal/dtw/
 	$(GO) test -run=NONE -fuzz=FuzzDurableRecovery -fuzztime=30s ./internal/platform/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeJSON -fuzztime=30s ./internal/mcs/
 
 # Ingestion throughput benchmark: 32 concurrent submitters against a
 # durable store, group commit with no linger vs a 2ms linger vs batched
-# submits, plus the sharded variant routing the same load across 1/2/4
+# submits; replicated to one follower in async, semi-sync and semi-sync
+# with mcsplatform's compaction defaults (with snapshot ships per 1,000
+# acks); plus the sharded variant routing the same load across 1/2/4
 # durable shards. Emits the raw test2json stream to BENCH_ingest.json for
 # trend tracking; the human-readable table goes to stdout as usual.
 bench-ingest:

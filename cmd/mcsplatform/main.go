@@ -93,7 +93,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for the POI layout")
 	maxAccounts := flag.Int("max-accounts", 0, "cap on registered accounts (0 = unlimited)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
-	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot compactions (with -data-dir)")
+	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot compactions (with -data-dir); the frames of the last two intervals stay in memory (about 2 x N x 170 B) so followers less than one interval behind catch up without a snapshot")
 	commitLinger := flag.Duration("commit-linger", 2*time.Millisecond, "group-commit linger: max extra ack latency while coalescing concurrent WAL fsyncs (0 = fsync as soon as no other is in flight; with -data-dir)")
 	commitBatch := flag.Int("commit-batch", 64, "group-commit fsyncs early once this many records are pending (with -commit-linger)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request read/write timeout (0 disables; slowloris guard)")

@@ -2,12 +2,14 @@ package mcs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// FuzzDecodeJSON checks that arbitrary input never panics the decoder and
-// that anything it accepts is a valid dataset that round-trips.
+// FuzzDecodeJSON checks that arbitrary input never panics the decoder,
+// that anything it accepts is a valid dataset that round-trips, and that
+// EncodeJSON writes the same bytes for it as encoding/json.
 func FuzzDecodeJSON(f *testing.F) {
 	var buf bytes.Buffer
 	ds := NewDataset(2)
@@ -16,6 +18,12 @@ func FuzzDecodeJSON(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, buf.Bytes(), "", "  "); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indented.String())
+	f.Add(`{"version":1,"tasks":[{"id":0,"name":"<\u2028&>","x":1e-7,"y":-0}],"accounts":[{"id":"\u0007\ud800","observations":[{"task":0,"value":1e21,"time":"0000-01-01T00:00:00.5+23:59"}],"fingerprint":[5e-324]}]}`)
 	f.Add(`{"version":1,"tasks":[],"accounts":[]}`)
 	f.Add(`{"version":2}`)
 	f.Add(`not json at all`)
@@ -32,6 +40,9 @@ func FuzzDecodeJSON(f *testing.F) {
 		var out bytes.Buffer
 		if err := ds.EncodeJSON(&out); err != nil {
 			t.Fatalf("accepted dataset failed to re-encode: %v", err)
+		}
+		if want, err := referenceJSON(ds); err != nil || !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("EncodeJSON differs from encoding/json (err %v):\n got %q\nwant %q", err, out.Bytes(), want)
 		}
 		back, err := DecodeJSON(&out)
 		if err != nil {

@@ -5,9 +5,10 @@
 package mcs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -64,13 +65,19 @@ func (a *Account) TaskSet() map[int]bool {
 func (a *Account) SortedObservations() []Observation {
 	obs := make([]Observation, len(a.Observations))
 	copy(obs, a.Observations)
-	sort.SliceStable(obs, func(i, j int) bool {
-		if !obs[i].Time.Equal(obs[j].Time) {
-			return obs[i].Time.Before(obs[j].Time)
-		}
-		return obs[i].Task < obs[j].Task
-	})
+	SortObservations(obs)
 	return obs
+}
+
+// SortObservations sorts obs in place in SortedObservations' order: by
+// timestamp, then task index, stable on ties.
+func SortObservations(obs []Observation) {
+	slices.SortStableFunc(obs, func(a, b Observation) int {
+		if c := a.Time.Compare(b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Task, b.Task)
+	})
 }
 
 // Dataset is a complete crowdsensing campaign: the published tasks and the

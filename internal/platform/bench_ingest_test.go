@@ -51,25 +51,36 @@ func BenchmarkIngest(b *testing.B) {
 //   - semi-sync: every ack also waits for the follower to confirm the
 //     record durable, putting a ship round-trip plus a remote fsync on
 //     the ack path.
+//   - semi-sync-compacting: semi-sync with cmd/mcsplatform's defaults, a
+//     compaction every 1024 records, a 2ms linger and a commit batch of
+//     64, so the cost of compaction, and of any snapshot it makes the
+//     primary ship, is in the ack rate. The first two never compact.
 //
-// Run via `make bench-ingest` alongside the unreplicated shapes.
+// Each case also reports the primary's repl.snapshot_ships per 1,000
+// acks. Run via `make bench-ingest` alongside the unreplicated shapes.
 func BenchmarkIngestReplicated(b *testing.B) {
 	const workers = 32
+	groupCommit := DurableOptions{CommitLinger: 2 * time.Millisecond, CommitMaxBatch: 8}
 
 	b.Run("async", func(b *testing.B) {
-		benchReplicatedSubmits(b, workers, AckAsync)
+		benchReplicatedSubmits(b, workers, AckAsync, groupCommit)
 	})
 	b.Run("semi-sync", func(b *testing.B) {
-		benchReplicatedSubmits(b, workers, AckSemiSync)
+		benchReplicatedSubmits(b, workers, AckSemiSync, groupCommit)
+	})
+	b.Run("semi-sync-compacting", func(b *testing.B) {
+		benchReplicatedSubmits(b, workers, AckSemiSync, DurableOptions{
+			SnapshotEvery:  1024,
+			CommitLinger:   2 * time.Millisecond,
+			CommitMaxBatch: 64,
+		})
 	})
 }
 
 // benchReplicatedSubmits drives b.N single submits against a primary
 // replicating to one HTTP follower in the given ack mode. Both replicas
-// run the group-commit ingestion shape so the comparison isolates the
-// replication overhead.
-func benchReplicatedSubmits(b *testing.B, workers int, mode AckMode) {
-	opts := DurableOptions{CommitLinger: 2 * time.Millisecond, CommitMaxBatch: 8}
+// run with opts, so the comparison isolates the replication overhead.
+func benchReplicatedSubmits(b *testing.B, workers int, mode AckMode, opts DurableOptions) {
 	fstore, fd, _, err := OpenDurable(b.TempDir(), testTasks(1), opts)
 	if err != nil {
 		b.Fatal(err)
@@ -92,11 +103,12 @@ func benchReplicatedSubmits(b *testing.B, workers int, mode AckMode) {
 		b.Fatal(err)
 	}
 	defer d.Close()
+	reg := obs.NewRegistry()
 	repl := NewReplication(store, d, ReplicationOptions{
 		Mode:         mode,
 		Followers:    []string{fsrv.URL},
 		ShipInterval: time.Millisecond,
-		Registry:     obs.NewRegistry(),
+		Registry:     reg,
 	})
 	defer repl.Close()
 
@@ -127,6 +139,7 @@ func benchReplicatedSubmits(b *testing.B, workers int, mode AckMode) {
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "acked-submits/sec")
+	b.ReportMetric(float64(reg.Snapshot().Counters["repl.snapshot_ships"])*1000/float64(b.N), "snapshot-ships/1k-acks")
 }
 
 // benchConcurrentSubmits drives b.N single submits across `workers`

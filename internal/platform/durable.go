@@ -8,6 +8,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -88,7 +89,12 @@ type DurableOptions struct {
 	// inject a wal.FaultFS here to script crashes.
 	FS wal.FS
 	// SnapshotEvery compacts the WAL into a fresh snapshot after this
-	// many appended records; 0 snapshots only at Close.
+	// many appended records; 0 snapshots only at Close. A node keeps the
+	// payload of every frame since the compaction before last in memory,
+	// so a follower or export tail less than one interval behind catches
+	// up from frames, not a snapshot: about 2 × SnapshotEvery frames of
+	// about 170 bytes (350 KB at 1024). With 0 it keeps every frame since
+	// open, which is the WAL OpenDurable already reads into memory.
 	SnapshotEvery int
 	// CommitLinger bounds how long a group commit waits for company. Every
 	// mutation is journaled (buffered) and applied under the store lock,
@@ -149,23 +155,25 @@ type Durability struct {
 	seq           uint64 // sequence number of the last frame written
 	sinceSnapshot int
 	snapshotEvery int
+	snapshotSize  int // the last snapshot's length, to size the next one's buffer
 	gc            *groupCommit
 	reg           *obs.Registry
 	log           *log.Logger
 	closed        bool
 
 	// Replication bookkeeping (all guarded by the store mutex like seq).
-	// epoch is the replication epoch persisted in the snapshot envelope;
-	// walSeq0 is the sequence number of the first frame currently in the
-	// WAL file and walOffsets[i] its frame's byte offset for seq
-	// walSeq0+i, so a follower catching up by sequence range costs one
-	// index lookup + one ranged read instead of a full-file scan. repl is
-	// the attached replication manager (nil on an unreplicated node); it
-	// is set once by NewReplication before the store is shared.
-	epoch      uint64
-	walSeq0    uint64
-	walOffsets []int64
-	repl       *Replication
+	// epoch is the replication epoch persisted in the snapshot envelope.
+	// frames holds the payloads of the frames (seq-len(frames), seq],
+	// which framesSince serves from memory: the first prevLen are the
+	// generation the last compaction dropped from the WAL file, the rest
+	// are in it. Payloads are never mutated once appended, so they are
+	// shared with the frames framesSince returns. repl is the attached
+	// replication manager (nil on an unreplicated node); it is set once by
+	// NewReplication before the store is shared.
+	epoch   uint64
+	frames  [][]byte
+	prevLen int
+	repl    *Replication
 }
 
 // commitToken identifies journaled mutations by the sequence number of
@@ -345,8 +353,7 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 		stats.CorruptReason = scan.Corrupt.Error()
 	}
 
-	kept := len(scan.Records)
-	var firstWALSeq uint64
+	var frames [][]byte // the records after the snapshot: the first generation
 	for i, payload := range scan.Records {
 		var rec walRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
@@ -359,11 +366,7 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 			stats.BytesTruncated += scan.Valid - scan.Offsets[i]
 			stats.WALRecords = i
 			stats.CorruptReason = fmt.Sprintf("record %d undecodable: %v", i, err)
-			kept = i
 			break
-		}
-		if i == 0 {
-			firstWALSeq = rec.Seq
 		}
 		if rec.Seq <= seq {
 			stats.RecordsSkipped++ // snapshot already covers it
@@ -374,6 +377,10 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 		} else {
 			stats.RecordsSkipped++
 		}
+		if rec.Seq != seq+1 {
+			frames = frames[:0] // retained frames end at seq without a gap
+		}
+		frames = append(frames, payload)
 		seq = rec.Seq
 	}
 
@@ -387,14 +394,7 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 		snapshotEvery: opts.SnapshotEvery,
 		reg:           reg,
 		log:           opts.Logger,
-	}
-	// Rebuild the seq → byte-offset index over the surviving WAL frames so
-	// replication can serve catch-up ranges without rescanning the file.
-	if kept > 0 {
-		d.walSeq0 = firstWALSeq
-		d.walOffsets = append([]int64(nil), scan.Offsets[:kept]...)
-	} else {
-		d.walSeq0 = seq + 1
+		frames:        frames,
 	}
 	d.gc = newGroupCommit(opts.CommitLinger, opts.CommitMaxBatch)
 	d.gc.markDurable(seq) // everything recovered from disk is durable
@@ -548,7 +548,6 @@ func (d *Durability) appendLocked(recs []walRecord) (commitToken, error) {
 		payloads[i] = p
 	}
 	sw := d.reg.Timer("wal.append_seconds").Start()
-	off := d.w.Size()
 	err := d.w.AppendBatch(payloads)
 	sw.Stop()
 	if err != nil {
@@ -556,10 +555,7 @@ func (d *Durability) appendLocked(recs []walRecord) (commitToken, error) {
 		return commitToken{}, fmt.Errorf("%w: append: %v", ErrDurability, err)
 	}
 	d.seq += uint64(len(recs))
-	for _, p := range payloads {
-		d.walOffsets = append(d.walOffsets, off)
-		off += wal.HeaderSize + int64(len(p))
-	}
+	d.frames = append(d.frames, payloads...)
 	d.sinceSnapshot += len(recs)
 	d.reg.Histogram("wal.batch_size").Observe(float64(len(recs)))
 	d.reg.Counter("wal.records").Add(int64(len(recs)))
@@ -598,7 +594,7 @@ func (d *Durability) maybeCompactLocked() {
 	if d.snapshotEvery <= 0 || d.sinceSnapshot < d.snapshotEvery {
 		return
 	}
-	if err := d.snapshotLocked(); err != nil {
+	if _, err := d.snapshotLocked(); err != nil {
 		d.sinceSnapshot = 0
 		d.reg.Counter("wal.snapshot_errors").Inc()
 		d.logf("durability: snapshot failed (WAL keeps growing): %v", err)
@@ -613,52 +609,66 @@ func (d *Durability) Snapshot() error {
 	if d.closed {
 		return fmt.Errorf("%w: durability closed", ErrDurability)
 	}
-	return d.snapshotLocked()
+	_, err := d.snapshotLocked()
+	return err
 }
 
-// snapshotLocked writes the snapshot (temp file, fsync, atomic rename)
-// and then resets the WAL. Crash windows: before the rename, the old
-// snapshot + full WAL still recover everything; after the rename but
-// before the reset, recovery skips the WAL records the snapshot already
-// covers by sequence number.
-func (d *Durability) snapshotLocked() error {
+// snapshotLocked compacts: it writes the snapshot (temp file, fsync,
+// atomic rename), then resets the WAL, whose frames become the retained
+// previous generation. It returns the snapshot's dataset bytes. Crash
+// windows: before the rename, the old snapshot + full WAL still recover
+// everything; after the rename but before the reset, recovery skips the
+// WAL records the snapshot already covers by sequence number.
+func (d *Durability) snapshotLocked() ([]byte, error) { return d.compactLocked(false) }
+
+// compactLocked is snapshotLocked, or with adopt the persisting of a
+// shipped snapshot that adoptSnapshotLocked has installed. An adoption
+// resets the WAL before the rename: the WAL holds the abandoned lineage,
+// and recovery would replay its records past the adopted seq on top of
+// the adopted state, under the new epoch. A crash between the two leaves
+// the previous snapshot, an empty WAL and the old epoch, so the primary
+// ships a snapshot again.
+func (d *Durability) compactLocked(adopt bool) ([]byte, error) {
 	sw := d.reg.Timer("wal.snapshot_seconds").Start()
 	defer sw.Stop()
-	var buf bytes.Buffer
-	if err := d.store.datasetLocked().EncodeJSON(&buf); err != nil {
-		return fmt.Errorf("encode dataset: %w", err)
-	}
-	fence, fenceVersion := d.store.fenceStateLocked()
-	env, err := json.Marshal(snapshotFile{Version: snapshotVersion, Seq: d.seq, Epoch: d.epoch,
-		Dataset: buf.Bytes(), Fence: fence, FenceVersion: fenceVersion})
+	env, data, err := d.encodeSnapshotLocked()
 	if err != nil {
-		return fmt.Errorf("encode snapshot: %w", err)
+		return nil, err
 	}
+	d.snapshotSize = len(env)
 	tmp := filepath.Join(d.dir, snapshotTempName)
 	f, err := d.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := f.Write(env); err != nil {
 		_ = f.Close()
-		return err
+		return nil, err
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		return err
+		return nil, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return nil, err
+	}
+	if adopt {
+		if err := d.w.Reset(); err != nil {
+			return nil, fmt.Errorf("wal reset: %w", err)
+		}
 	}
 	if err := d.fs.Rename(tmp, filepath.Join(d.dir, snapshotFileName)); err != nil {
-		return err
+		return nil, err
 	}
-	if err := d.w.Reset(); err != nil {
-		return fmt.Errorf("wal reset: %w", err)
+	if !adopt {
+		if err := d.w.Reset(); err != nil {
+			return nil, fmt.Errorf("wal reset: %w", err)
+		}
+		clear(d.frames[:d.prevLen]) // the generation before last
+		d.frames = d.frames[d.prevLen:]
+		d.prevLen = len(d.frames)
 	}
 	d.sinceSnapshot = 0
-	d.walSeq0 = d.seq + 1
-	d.walOffsets = d.walOffsets[:0]
 	// The snapshot holds the full state through d.seq on stable storage,
 	// so every record appended so far is durable — release any
 	// group-commit waiters without an extra WAL fsync.
@@ -667,7 +677,38 @@ func (d *Durability) snapshotLocked() error {
 	d.reg.Gauge("wal.size_bytes").Set(0)
 	d.logf("durability: snapshot written (seq %d, epoch %d)", d.seq, d.epoch)
 	d.notifyDurable()
-	return nil
+	return data, nil
+}
+
+// encodeSnapshotLocked encodes the snapshot envelope, byte-identical to
+// json.Marshal of a snapshotFile, and returns it with the dataset bytes
+// inside it. The envelope is written around the dataset's encoding, so
+// the campaign is encoded once and never compacted again.
+func (d *Durability) encodeSnapshotLocked() (env, data []byte, err error) {
+	b := append(make([]byte, 0, d.snapshotSize+d.snapshotSize/8+4096), `{"version":`...)
+	b = strconv.AppendInt(b, snapshotVersion, 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, d.seq, 10)
+	if d.epoch != 0 {
+		b = append(b, `,"epoch":`...)
+		b = strconv.AppendUint(b, d.epoch, 10)
+	}
+	b = append(b, `,"dataset":`...)
+	start := len(b)
+	if b, err = d.store.datasetLocked().AppendJSON(b); err != nil {
+		return nil, nil, fmt.Errorf("encode dataset: %w", err)
+	}
+	data = b[start:len(b):len(b)]
+	fence, fenceVersion := d.store.fenceStateLocked()
+	if len(fence) > 0 {
+		f, _ := json.Marshal(fence) // string keys and integers always marshal
+		b = append(append(b, `,"fence":`...), f...)
+	}
+	if fenceVersion != 0 {
+		b = append(b, `,"fence_version":`...)
+		b = strconv.AppendUint(b, fenceVersion, 10)
+	}
+	return append(b, '}'), data, nil
 }
 
 // Close writes a final snapshot and closes the WAL. The store keeps
@@ -680,7 +721,7 @@ func (d *Durability) Close() error {
 		return nil
 	}
 	d.closed = true
-	snapErr := d.snapshotLocked()
+	_, snapErr := d.snapshotLocked()
 	closeErr := d.w.Close()
 	if snapErr != nil {
 		// Not data loss: the WAL still holds everything the snapshot
@@ -772,82 +813,44 @@ func (d *Durability) persistEpoch(epoch uint64) error {
 		return nil
 	}
 	d.epoch = epoch
-	return d.snapshotLocked()
+	_, err := d.snapshotLocked()
+	return err
 }
 
-// framesSince exports the durable WAL frames in (from, from+max],
-// CRC-stamped for the wire. The bool result reports that from precedes
-// the WAL's first frame (compacted into a snapshot): the caller must ship
-// a snapshot reset instead of frames.
-//
-// The file read happens OUTSIDE the store mutex: the batch's byte range
-// is captured under the lock (concurrent appends only ever extend the
-// file past it), the lock is released for the read, and walSeq0 is
-// rechecked afterwards — if a compaction (or snapshot adoption) reset the
-// WAL mid-read, the possibly-garbage bytes are discarded and the bounds
-// recomputed. Holding the lock across the read would stall every client
-// write and read on the primary for the duration of each catch-up batch.
+// framesSince exports the durable frames in (from, from+max], CRC-stamped
+// for the wire, from the two retained generations. The bool result
+// reports that from precedes them (the range was compacted away more than
+// one generation ago, or before this node opened or adopted a snapshot):
+// the caller must ship a snapshot reset instead of frames. Only the
+// payload references are copied under the store lock; the CRCs are
+// computed outside it.
 func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error) {
-	for {
-		d.store.mu.Lock()
-		if d.closed {
-			d.store.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: durability closed", ErrDurability)
-		}
-		durable := d.durableSeq()
-		if from >= durable {
-			d.store.mu.Unlock()
-			return nil, false, nil
-		}
-		if from+1 < d.walSeq0 {
-			d.store.mu.Unlock()
-			return nil, true, nil // the range was compacted away: snapshot time
-		}
-		hi := durable
-		if max > 0 && hi-from > uint64(max) {
-			hi = from + uint64(max)
-		}
-		startIdx := int(from + 1 - d.walSeq0)
-		if startIdx >= len(d.walOffsets) {
-			d.store.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: wal offset index missing seq %d", ErrDurability, from+1)
-		}
-		start := d.walOffsets[startIdx]
-		// Frame hi's end: the next frame's offset, or — when hi is the
-		// last appended frame — the file size (appends happen under the
-		// store mutex, so nothing is mid-write past it right now).
-		end := d.w.Size()
-		if endIdx := int(hi + 1 - d.walSeq0); endIdx < len(d.walOffsets) {
-			end = d.walOffsets[endIdx]
-		}
-		seq0 := d.walSeq0
-		d.store.mu.Unlock()
-
-		res, err := wal.ReadRange(d.fs, filepath.Join(d.dir, walFileName), start, end)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: export frames: %v", ErrDurability, err)
-		}
-
-		d.store.mu.Lock()
-		moved := d.walSeq0 != seq0
-		d.store.mu.Unlock()
-		if moved {
-			continue // the WAL was reset mid-read; recompute the bounds
-		}
-		n := int(hi - from)
-		if len(res.Records) < n {
-			n = len(res.Records)
-		}
-		frames := make([]ReplFrame, n)
-		for i := 0; i < n; i++ {
-			frames[i] = ReplFrame{
-				Seq:     from + 1 + uint64(i),
-				CRC:     crc32.ChecksumIEEE(res.Records[i]),
-				Payload: res.Records[i],
-			}
-		}
-		return frames, false, nil
+	d.store.mu.RLock()
+	if d.closed {
+		d.store.mu.RUnlock()
+		return nil, false, fmt.Errorf("%w: durability closed", ErrDurability)
 	}
+	hi := min(d.durableSeq(), d.seq)
+	if max > 0 && hi > from+uint64(max) {
+		hi = from + uint64(max)
+	}
+	if from >= hi {
+		d.store.mu.RUnlock()
+		return nil, false, nil
+	}
+	first := d.seq - uint64(len(d.frames)) // frames[0] is seq first+1
+	if from < first {
+		d.store.mu.RUnlock()
+		return nil, true, nil
+	}
+	payloads := append([][]byte(nil), d.frames[from-first:hi-first]...)
+	d.store.mu.RUnlock()
+
+	frames := make([]ReplFrame, len(payloads))
+	for k, p := range payloads {
+		frames[k] = ReplFrame{Seq: from + 1 + uint64(k), CRC: crc32.ChecksumIEEE(p), Payload: p}
+	}
+	return frames, false, nil
 }
 
 // adoptSnapshotLocked rewinds the durability layer onto a shipped
@@ -855,16 +858,21 @@ func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error
 // already replaced the in-memory store). The group-commit marks are
 // forced to the new seq — which may be LOWER than before on a diverged
 // rejoiner — so the follower's durable high-water mark tracks the adopted
-// history, not the abandoned one. Caller holds the store mutex.
+// history, not the abandoned one. Both retained generations are dropped:
+// their frames belong to that abandoned history and must never ship.
+// Caller holds the store mutex.
 func (d *Durability) adoptSnapshotLocked(seq, epoch uint64) error {
 	d.seq = seq
 	d.epoch = epoch
+	clear(d.frames)
+	d.frames, d.prevLen = d.frames[:0], 0
 	d.gc.mu.Lock()
 	d.gc.synced = seq
 	d.gc.appended = seq
 	d.gc.cond.Broadcast()
 	d.gc.mu.Unlock()
-	return d.snapshotLocked()
+	_, err := d.compactLocked(true)
+	return err
 }
 
 // appendReplicatedLocked journals primary-assigned frames on a follower:
@@ -881,12 +889,8 @@ func (d *Durability) appendReplicatedLocked(frames []ReplFrame) error {
 		return nil
 	}
 	payloads := make([][]byte, len(frames))
-	offs := make([]int64, len(frames))
-	off := d.w.Size()
 	for i, f := range frames {
 		payloads[i] = f.Payload
-		offs[i] = off
-		off += wal.HeaderSize + int64(len(f.Payload))
 	}
 	sw := d.reg.Timer("wal.append_seconds").Start()
 	err := d.w.AppendBatch(payloads)
@@ -903,7 +907,7 @@ func (d *Durability) appendReplicatedLocked(frames []ReplFrame) error {
 		return fmt.Errorf("%w: replicated fsync: %v", ErrDurability, err)
 	}
 	d.seq = frames[len(frames)-1].Seq
-	d.walOffsets = append(d.walOffsets, offs...)
+	d.frames = append(d.frames, payloads...)
 	d.sinceSnapshot += len(frames)
 	d.reg.Counter("wal.records").Add(int64(len(frames)))
 	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	iofs "io/fs"
 	"log"
 	"math"
 	"net/http"
@@ -543,6 +544,155 @@ func TestCrashBetweenSnapshotAndWALReset(t *testing.T) {
 	}
 	if stats.RecordsReplayed != 0 {
 		t.Errorf("replayed %d records that the snapshot already covered", stats.RecordsReplayed)
+	}
+}
+
+// imagingFS is a memFS that keeps a copy of every file as it stands
+// before each rename and each truncate: the disk that a crash at that
+// step leaves behind (memFS persists every write at once).
+type imagingFS struct {
+	*memFS
+	images []*memFS
+}
+
+func (f *imagingFS) image() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	img := newMemFS()
+	for name, data := range f.files {
+		b := append([]byte(nil), *data...)
+		img.files[name] = &b
+	}
+	f.images = append(f.images, img)
+}
+
+func (f *imagingFS) Rename(oldpath, newpath string) error {
+	f.image()
+	return f.memFS.Rename(oldpath, newpath)
+}
+
+func (f *imagingFS) OpenFile(name string, flag int, perm iofs.FileMode) (wal.File, error) {
+	file, err := f.memFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return imagingFile{file, f}, nil
+}
+
+// imagingFile images its filesystem before each truncate.
+type imagingFile struct {
+	wal.File
+	fs *imagingFS
+}
+
+func (f imagingFile) Truncate(size int64) error {
+	f.fs.image()
+	return f.File.Truncate(size)
+}
+
+// TestCrashWhileAdoptingSnapshot covers the adoption crash window: a node
+// that adopts a shipped snapshot abandons its own history, so a crash at
+// any step of the adoption must recover either that history at its old
+// epoch or the adopted state at the new one, never the abandoned records
+// replayed on top of the adopted snapshot under the new epoch (the node
+// would then answer a probe with a cursor past records it does not hold).
+func TestCrashWhileAdoptingSnapshot(t *testing.T) {
+	ctx := context.Background()
+	adopted := NewLocalStore(testTasks(3))
+	for i := 0; i < 2; i++ {
+		if err := adopted.Submit(ctx, fmt.Sprintf("new-%d", i), 0, float64(i), at(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := signature(t, adopted)
+
+	fsys := &imagingFS{memFS: newMemFS()}
+	store, d, _, err := OpenDurable("node", testTasks(3), DurableOptions{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := store.Submit(ctx, fmt.Sprintf("old-%d", i), 0, float64(i), at(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewReplication(store, d, ReplicationOptions{FollowerOf: "x", Registry: obs.NewRegistry()})
+	defer r.Close()
+	fsys.images = nil
+	if _, err := r.ApplyShip(ctx, ReplShipRequest{Epoch: 1, PrimarySeq: 2, Snapshot: []byte(want), SnapshotSeq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	fsys.image() // and after the adoption completed
+	if len(fsys.images) < 3 {
+		t.Fatalf("%d crash points, want one before the rename, one before the reset and one after", len(fsys.images))
+	}
+	for i, img := range fsys.images {
+		got, d2, stats, err := OpenDurable("node", testTasks(3), DurableOptions{FS: img})
+		if err != nil {
+			t.Fatalf("crash point %d: reopen: %v", i, err)
+		}
+		seq, epoch := d2.seq, d2.epoch
+		switch epoch {
+		case 1:
+			if seq != 2 || stats.RecordsReplayed != 0 || signature(t, got) != want {
+				t.Errorf("crash point %d: adopted snapshot plus %d abandoned records: seq %d, epoch 1, %d accounts",
+					i, stats.RecordsReplayed, seq, got.NumAccounts())
+			}
+		case 0:
+			ds, err := got.Dataset(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range ds.Accounts {
+				if !strings.HasPrefix(a.ID, "old-") {
+					t.Errorf("crash point %d: epoch 0 recovered %s", i, a.ID)
+				}
+			}
+			if uint64(len(ds.Accounts)) != seq {
+				t.Errorf("crash point %d: epoch 0, seq %d, %d accounts: not a prefix of the old history", i, seq, len(ds.Accounts))
+			}
+		default:
+			t.Errorf("crash point %d: epoch %d", i, epoch)
+		}
+		_ = d2.Abort()
+	}
+}
+
+// TestSnapshotEnvelopeIsByteIdentical: snapshot.json is exactly what
+// json.Marshal writes for the envelope with the dataset indented inside
+// it, as earlier versions wrote it, fence and epoch included.
+func TestSnapshotEnvelopeIsByteIdentical(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	d := runCampaign(t, dir, DurableOptions{})
+	if err := d.store.Fence(ctx, 7, []string{"bo", "<cy&>"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.persistEpoch(3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(signature(t, d.store)), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	d.store.mu.RLock()
+	fence, fenceVersion := d.store.fenceStateLocked()
+	env := snapshotFile{Version: snapshotVersion, Seq: d.seq, Epoch: d.epoch, Dataset: indented.Bytes(),
+		Fence: fence, FenceVersion: fenceVersion}
+	d.store.mu.RUnlock()
+	want, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Epoch != 3 || len(env.Fence) != 2 || !bytes.Equal(got, want) {
+		t.Fatalf("snapshot.json differs from the json.Marshal envelope:\n got %s\nwant %s", got, want)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -154,7 +154,7 @@ func TestDatasetETagNamesLiveState(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return ship(ReplShipRequest{PrimarySeq: snap.seq, Snapshot: snap.data, SnapshotSeq: snap.seq, Fence: snap.fence, FenceVersion: snap.fenceVersion})
+			return ship(snap)
 		}, true},
 		{"durable reopen", pURL, func() error {
 			primary.Close()

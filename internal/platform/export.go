@@ -42,9 +42,10 @@ const (
 // ExportBatch is the export response: records in (FromSeq, NextSeq],
 // the donor's durable high-water mark (NextSeq == DurableSeq means the
 // consumer is caught up), and the compaction signal. SnapshotNeeded means
-// the requested range was compacted into a snapshot and is no longer in
-// the WAL — the consumer must re-seed from a dataset read and restart the
-// tail from the current DurableSeq.
+// the requested range is older than the frames the donor keeps (they
+// reach back one compaction before its WAL, and a restarted donor keeps
+// only its WAL) — the consumer must re-seed from a dataset read and
+// restart the tail from the current DurableSeq.
 type ExportBatch struct {
 	Records        []ExportRecord `json:"records,omitempty"`
 	NextSeq        uint64         `json:"next_seq"`

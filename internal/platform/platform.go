@@ -687,16 +687,21 @@ func etagListed(field, tag string) bool {
 // datasetLocked is Dataset for callers that already hold mu (the
 // durability snapshot runs under the write lock).
 func (s *LocalStore) datasetLocked() *mcs.Dataset {
-	ds := &mcs.Dataset{Tasks: make([]mcs.Task, len(s.tasks))}
+	ds := &mcs.Dataset{Tasks: make([]mcs.Task, len(s.tasks)), Accounts: make([]mcs.Account, 0, len(s.order))}
 	copy(ds.Tasks, s.tasks)
+	n := 0
+	for _, st := range s.accounts {
+		n += len(st.observations)
+	}
+	all := make([]mcs.Observation, 0, n) // one allocation; each account gets a capped window
 	for _, id := range s.order {
 		st := s.accounts[id]
-		acct := mcs.Account{ID: id}
+		start := len(all)
 		for _, o := range st.observations {
-			acct.Observations = append(acct.Observations, o)
+			all = append(all, o)
 		}
-		// Stable order inside the account.
-		acct.Observations = (&acct).SortedObservations()
+		acct := mcs.Account{ID: id, Observations: all[start:len(all):len(all)]}
+		mcs.SortObservations(acct.Observations) // stable order inside the account
 		if len(st.fingerprint) > 0 {
 			acct.Fingerprint = append([]float64(nil), st.fingerprint...)
 		}

@@ -27,7 +27,6 @@
 package platform
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -93,8 +92,8 @@ type ReplShipRequest struct {
 // is the follower's durable high-water mark — the primary resumes from it
 // on gap or after reconnect, which is what makes replay idempotent.
 // NeedSnapshot asks the primary to ship a full snapshot instead of frames
-// (the follower's epoch is behind, or its cursor precedes the primary's
-// compacted WAL).
+// (the follower's epoch is behind; a cursor older than the frames the
+// primary keeps gets a snapshot without asking).
 type ReplShipResponse struct {
 	AppliedSeq   uint64 `json:"applied_seq"`
 	Epoch        uint64 `json:"epoch"`
@@ -513,15 +512,12 @@ func (r *Replication) shipPending(s *shipper) {
 		req := ReplShipRequest{Epoch: epoch, PrimarySeq: durable}
 		switch {
 		case needSnap:
-			snap, err := r.snapshotForShip()
-			if err != nil {
+			var err error
+			if req, err = r.snapshotForShip(); err != nil {
 				r.logf("repl: snapshot for %s: %v", s.endpoint, err)
 				r.reg.Counter("repl.ship_errors").Inc()
 				return
 			}
-			req.Snapshot, req.SnapshotSeq, req.Epoch = snap.data, snap.seq, snap.epoch
-			req.Fence, req.FenceVersion = snap.fence, snap.fenceVersion
-			req.PrimarySeq = snap.seq
 		case cursor < durable:
 			frames, snapNeeded, err := r.d.framesSince(cursor, r.maxBatch)
 			if err != nil {
@@ -625,41 +621,25 @@ func (r *Replication) stepDown() {
 	// entries are replaced wholesale on the next promotion.
 }
 
-// shipSnapshot is what snapshotForShip hands the shipper: the encoded
-// dataset plus the {seq, epoch, fence} it covers.
-type shipSnapshot struct {
-	data         []byte
-	seq          uint64
-	epoch        uint64
-	fence        map[string]uint64
-	fenceVersion uint64
-}
-
 // snapshotForShip compacts local state to disk (making everything
 // durable — a shipped snapshot must never contain un-fsynced records, or
 // a primary crash could leave a follower holding a "future" the restarted
-// primary would then contradict at the same epoch) and returns the
-// encoded dataset with the {seq, epoch, fence} it covers.
-func (r *Replication) snapshotForShip() (shipSnapshot, error) {
+// primary would then contradict at the same epoch) and returns the ship
+// request for it: the dataset bytes that compaction encoded, with the
+// {seq, epoch, fence} they cover.
+func (r *Replication) snapshotForShip() (ReplShipRequest, error) {
 	r.store.mu.Lock()
+	defer r.store.mu.Unlock()
 	if r.d.closed {
-		r.store.mu.Unlock()
-		return shipSnapshot{}, fmt.Errorf("%w: durability closed", ErrDurability)
+		return ReplShipRequest{}, fmt.Errorf("%w: durability closed", ErrDurability)
 	}
-	if err := r.d.snapshotLocked(); err != nil {
-		r.store.mu.Unlock()
-		return shipSnapshot{}, err
+	data, err := r.d.snapshotLocked()
+	if err != nil {
+		return ReplShipRequest{}, err
 	}
-	ds := r.store.datasetLocked()
-	snap := shipSnapshot{seq: r.d.seq, epoch: r.d.epoch}
-	snap.fence, snap.fenceVersion = r.store.fenceStateLocked()
-	r.store.mu.Unlock()
-	var buf bytes.Buffer
-	if err := ds.EncodeJSON(&buf); err != nil {
-		return shipSnapshot{}, err
-	}
-	snap.data = buf.Bytes()
-	return snap, nil
+	req := ReplShipRequest{Epoch: r.d.epoch, PrimarySeq: r.d.seq, Snapshot: data, SnapshotSeq: r.d.seq}
+	req.Fence, req.FenceVersion = r.store.fenceStateLocked()
+	return req, nil
 }
 
 // ApplyShip is the follower half of the protocol (POST /v1/repl/frames).

@@ -32,7 +32,13 @@ type replNode struct {
 // starting role. The node serves on a fresh httptest listener.
 func startReplNode(t *testing.T, dir string, ropts ReplicationOptions) *replNode {
 	t.Helper()
-	store, d, _, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+	return startReplNodeWith(t, dir, DurableOptions{}, ropts)
+}
+
+// startReplNodeWith is startReplNode with the node's durability options.
+func startReplNodeWith(t *testing.T, dir string, dopts DurableOptions, ropts ReplicationOptions) *replNode {
+	t.Helper()
+	store, d, _, err := OpenDurable(dir, testTasks(3), dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +332,7 @@ func TestApplyShipEpochRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, snapSeq := shipSnap.data, shipSnap.seq
+	snap, snapSeq := shipSnap.Snapshot, shipSnap.SnapshotSeq
 	resp, err := node.repl.ApplyShip(ctx, ReplShipRequest{Epoch: 2, PrimarySeq: snapSeq, Snapshot: snap, SnapshotSeq: snapSeq})
 	if err != nil || resp.Epoch != 2 || resp.AppliedSeq != snapSeq {
 		t.Fatalf("snapshot ship: %+v, %v; want epoch 2 applied %d", resp, err, snapSeq)
@@ -379,10 +385,10 @@ func TestApplyShipRevalidatesUnderLock(t *testing.T) {
 		t.Fatalf("framesSince: %d frames, err=%v", len(frames), err)
 	}
 	shipSnap, err := pr.snapshotForShip()
-	if err != nil || shipSnap.epoch != 0 {
-		t.Fatalf("snapshotForShip: epoch=%d, err=%v", shipSnap.epoch, err)
+	if err != nil || shipSnap.Epoch != 0 {
+		t.Fatalf("snapshotForShip: epoch=%d, err=%v", shipSnap.Epoch, err)
 	}
-	snap, snapSeq := shipSnap.data, shipSnap.seq
+	snap, snapSeq := shipSnap.Snapshot, shipSnap.SnapshotSeq
 
 	node := startReplNode(t, t.TempDir(), ReplicationOptions{FollowerOf: "x"})
 	// Normal ship at epoch 0 lands the first two frames.

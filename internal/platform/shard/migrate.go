@@ -991,8 +991,9 @@ func (m *Migration) seedDonor(ctx context.Context, di int) (int, error) {
 
 // tailDonor pumps donor di's WAL tail from the journaled cursor, forwards
 // the moved records, advances the cursor, and returns the remaining lag.
-// A compaction signal (the cursor's range no longer in the donor's WAL)
-// falls back to a full re-seed — safe because re-delivery is idempotent.
+// A compaction signal (the cursor's range older than the frames the donor
+// keeps, which reach back one compaction) falls back to a full re-seed —
+// safe because re-delivery is idempotent.
 func (m *Migration) tailDonor(ctx context.Context, di int) (uint64, error) {
 	for {
 		var batch platform.ExportBatch

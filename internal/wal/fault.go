@@ -19,7 +19,7 @@ var ErrInjectedCrash = errors.New("wal: injected crash")
 //   - ShortWriteOnce(n): one write persists only its first n bytes and
 //     reports an error, but the filesystem stays alive — the transient-
 //     error path, where the Writer's truncate-repair must run.
-//   - FailSync / FailRename: sticky error injection on those calls.
+//   - FailSync: sticky error injection on fsync.
 //
 // It is safe for concurrent use; the byte budget is global across all
 // files opened through it (the WAL is the only file written during
@@ -32,8 +32,6 @@ type FaultFS struct {
 	crashed    bool
 	shortWrite int // next write keeps only this many bytes; -1 = off
 	syncErr    error
-	renameErr  error
-	written    int64
 }
 
 // NewFaultFS wraps inner with no faults armed.
@@ -65,25 +63,11 @@ func (f *FaultFS) FailSync(err error) {
 	f.syncErr = err
 }
 
-// FailRename makes Rename return err until cleared with FailRename(nil).
-func (f *FaultFS) FailRename(err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.renameErr = err
-}
-
 // Crashed reports whether the armed crash has fired.
 func (f *FaultFS) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.crashed
-}
-
-// WrittenBytes is the total number of bytes written through this FS.
-func (f *FaultFS) WrittenBytes() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.written
 }
 
 func (f *FaultFS) OpenFile(name string, flag int, perm iofs.FileMode) (File, error) {
@@ -101,14 +85,8 @@ func (f *FaultFS) OpenFile(name string, flag int, perm iofs.FileMode) (File, err
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	f.mu.Lock()
-	dead, rerr := f.crashed, f.renameErr
-	f.mu.Unlock()
-	if dead {
+	if f.Crashed() {
 		return ErrInjectedCrash
-	}
-	if rerr != nil {
-		return rerr
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
@@ -150,9 +128,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		ff.fs.shortWrite = -1
 		ff.fs.mu.Unlock()
 		written, _ := ff.f.Write(p[:n])
-		ff.fs.mu.Lock()
-		ff.fs.written += int64(written)
-		ff.fs.mu.Unlock()
 		return written, errors.New("wal: injected short write")
 	}
 	ff.fs.shortWrite = -1
@@ -161,15 +136,11 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		ff.fs.crashed = true
 		ff.fs.mu.Unlock()
 		written, _ := ff.f.Write(p[:keep])
-		ff.fs.mu.Lock()
-		ff.fs.written += int64(written)
-		ff.fs.mu.Unlock()
 		return written, ErrInjectedCrash
 	}
 	ff.fs.mu.Unlock()
 	written, err := ff.f.Write(p)
 	ff.fs.mu.Lock()
-	ff.fs.written += int64(written)
 	if ff.fs.budget >= 0 {
 		ff.fs.budget -= int64(written)
 	}

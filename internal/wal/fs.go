@@ -20,7 +20,7 @@ type File interface {
 
 // FS is the filesystem seam the durability layer writes through. The
 // production implementation is OS(); tests wrap it in a FaultFS to
-// inject write/sync/rename failures and crash-at-byte-N truncation.
+// inject write and sync failures and crash-at-byte-N truncation.
 type FS interface {
 	OpenFile(name string, flag int, perm iofs.FileMode) (File, error)
 	Rename(oldpath, newpath string) error

@@ -292,75 +292,6 @@ func (w *Writer) truncateTo(size int64) error {
 // Close closes the underlying file.
 func (w *Writer) Close() error { return w.f.Close() }
 
-// ReadFrom re-opens the log at path read-only and scans it from byte
-// offset off to the end of the file. Offsets in the result are absolute
-// (off is added back), so ReadFrom(fs, p, 0) matches a full Scan. The
-// replication layer uses this to export committed frames by byte range
-// while a Writer holds the same file open for appends: the caller must
-// serialize against appends (the platform reads under the store lock) —
-// a concurrent fsync is harmless, it does not move bytes.
-//
-// Reading past the end of the file yields an empty result, not an error;
-// a torn or corrupt region after off is reported in Corrupt exactly like
-// Scan.
-func ReadFrom(fsys FS, path string, off int64) (ScanResult, error) {
-	if off < 0 {
-		return ScanResult{}, fmt.Errorf("wal: read from negative offset %d", off)
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return ScanResult{}, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return ScanResult{}, fmt.Errorf("wal: seek %s to %d: %w", path, off, err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return ScanResult{}, fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	res := Scan(data)
-	res.Valid += off
-	res.Total += off
-	for i := range res.Offsets {
-		res.Offsets[i] += off
-	}
-	return res, nil
-}
-
-// ReadRange is ReadFrom bounded to the byte range [off, end): it scans
-// only the complete frames inside the range. The replication layer uses
-// it to export one batch of committed frames without holding the store
-// lock across the file read — the caller captures the byte bounds under
-// its lock (appends only ever extend the file past end) and revalidates
-// after the read. A file shorter than end — e.g. reset by a concurrent
-// compaction — yields however many valid frames the remaining bytes
-// hold, not an error; the caller's revalidation discards the result.
-func ReadRange(fsys FS, path string, off, end int64) (ScanResult, error) {
-	if off < 0 || end < off {
-		return ScanResult{}, fmt.Errorf("wal: invalid read range [%d, %d)", off, end)
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return ScanResult{}, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return ScanResult{}, fmt.Errorf("wal: seek %s to %d: %w", path, off, err)
-	}
-	data, err := io.ReadAll(io.LimitReader(f, end-off))
-	if err != nil {
-		return ScanResult{}, fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	res := Scan(data)
-	res.Valid += off
-	res.Total += off
-	for i := range res.Offsets {
-		res.Offsets[i] += off
-	}
-	return res, nil
-}
-
 // Open opens (creating if absent) the log at path, scans it, truncates
 // any torn/corrupt tail in place, and returns a Writer positioned at the
 // end of the valid prefix together with the scan result.
