@@ -154,8 +154,11 @@ fuzz:
 # submits; replicated to one follower in async, semi-sync and semi-sync
 # with mcsplatform's compaction defaults (with snapshot ships per 1,000
 # acks); plus the sharded variant routing the same load across 1/2/4
-# durable shards. Emits the raw test2json stream to BENCH_ingest.json for
-# trend tracking; the human-readable table goes to stdout as usual.
+# durable shards in process, and across three durable shards over HTTP
+# (BenchmarkIngestShardedHTTP, the router hop, with the connections the
+# shards accepted per 1,000 acks). Emits the raw test2json stream to
+# BENCH_ingest.json for trend tracking; the human-readable table goes to
+# stdout as usual.
 bench-ingest:
 	$(GO) test -run '^$$' -bench BenchmarkIngest -benchtime=2s -json ./internal/platform/... | tee BENCH_ingest.json | \
 		grep -o '"Output":".*acked-submits/sec[^"]*"' | sed 's/"Output":"//;s/\\t/\t/g;s/\\n"//' || true

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 
 	"sybiltd/internal/mcs"
 	"sybiltd/internal/mems"
+	"sybiltd/internal/obs"
 )
 
 // APIError is a structured platform error decoded from the JSON error
@@ -61,8 +63,13 @@ func (e *APIError) Unwrap() error {
 
 // ClientConfig tunes a Client beyond the defaults.
 type ClientConfig struct {
-	// HTTPClient performs the requests; nil means a default client with a
-	// 10 s timeout.
+	// HTTPClient performs the requests; nil means a client with a 10 s
+	// timeout. A nil Transport means the platform's shared pooled
+	// transport, not http.DefaultTransport: it keeps up to 128 idle
+	// connections per node, no more than the peak number of concurrent
+	// requests to that node opened, and closes each after 90 s idle. The
+	// caller's client is copied, never mutated; a Transport it names is
+	// used untouched.
 	HTTPClient *http.Client
 	// MaxRetries is the number of additional attempts after the first one
 	// fails with a connection error, a 5xx response, a torn response body,
@@ -88,9 +95,53 @@ type ClientConfig struct {
 	BreakerCooldown time.Duration
 }
 
+// maxIdleConnsPerHost is how many idle connections sharedTransport keeps
+// per node: the router's default admission capacity (-max-concurrent 128,
+// a write weighing 1), since an admitted request sends at most one
+// request to a given node. At defaults the router never closes a
+// connection its admitted traffic will reuse.
+const maxIdleConnsPerHost = 128
+
+// sharedTransport is the one transport of every Client whose http.Client
+// names none: a clone of http.DefaultTransport that keeps up to
+// maxIdleConnsPerHost idle connections per host instead of 2, with no
+// total idle cap, and counts its dials as client.conns_dialed in
+// obs.Default(). Its pool is keyed by host, so sharing it costs nothing,
+// and Client has no Close, so a transport per Client would strand the idle
+// connections of every discarded client until they time out.
+//
+// The bound: a request dials only when it finds no idle connection, so a
+// node's idle connections are no more than the peak number of concurrent
+// requests to it opened, and at most 128; each closes after 90 s idle
+// (IdleConnTimeout, unchanged from the default transport, below the 120 s
+// IdleTimeout the servers set). MaxConnsPerHost stays 0: a cap would
+// queue requests inside the transport, where the admission gates that
+// bound the work cannot see them.
+var sharedTransport = newSharedTransport()
+
+func newSharedTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, network, addr)
+		if err == nil {
+			obs.Default().Counter("client.conns_dialed").Inc()
+		}
+		return conn, err
+	}
+	return t
+}
+
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 10 * time.Second}
+	switch {
+	case c.HTTPClient == nil:
+		c.HTTPClient = &http.Client{Timeout: 10 * time.Second, Transport: sharedTransport}
+	case c.HTTPClient.Transport == nil:
+		hc := *c.HTTPClient
+		hc.Transport = sharedTransport
+		c.HTTPClient = &hc
 	}
 	if c.RetryBaseDelay == 0 {
 		c.RetryBaseDelay = 100 * time.Millisecond
@@ -150,7 +201,9 @@ type clientSettings struct {
 }
 
 // WithHTTPClient sets the *http.Client performing requests; the default
-// has a 10 s timeout.
+// has a 10 s timeout. A nil Transport in hc means the platform's shared
+// pooled transport, not http.DefaultTransport (see ClientConfig
+// HTTPClient); hc itself is copied, never mutated.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(s *clientSettings) { s.cfg.HTTPClient = hc }
 }
@@ -195,6 +248,11 @@ func WithConfig(cfg ClientConfig) Option {
 // NewClient targets endpoint (e.g. "http://localhost:8080") — a single
 // node or the shard router; the wire API is identical. With no options
 // there are no retries and a default HTTP client with a 10 s timeout.
+// Every Client whose HTTP client names no Transport shares the platform's
+// pooled transport rather than http.DefaultTransport, which keeps only 2
+// idle connections per host: up to 128 per node, no more than the peak
+// number of concurrent requests to that node opened, each closed after
+// 90 s idle.
 func NewClient(endpoint string, opts ...Option) *Client {
 	set := clientSettings{endpoints: []string{endpoint}}
 	for _, o := range opts {

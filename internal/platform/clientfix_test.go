@@ -102,6 +102,64 @@ func TestClientRetryReusesConnections(t *testing.T) {
 	}
 }
 
+// TestClientDefaultTransportIsPooled pins the defaulting: a Client whose
+// http.Client names no Transport runs on the shared pooled transport and
+// keeps the caller's other settings without mutating the caller's client,
+// a caller's own RoundTripper is used as is, and the watch stream keeps
+// the client's transport without its timeout.
+func TestClientDefaultTransportIsPooled(t *testing.T) {
+	redirect := func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
+	timeoutOnly := &http.Client{Timeout: 3 * time.Second, CheckRedirect: redirect}
+	own := &ownTransport{}
+	custom := &http.Client{Transport: own}
+	for _, tc := range []struct {
+		name          string
+		opts          []Option
+		wantTransport http.RoundTripper
+		wantTimeout   time.Duration
+		wantRedirect  bool
+	}{
+		{"no client", nil, sharedTransport, 10 * time.Second, false},
+		{"client without transport", []Option{WithHTTPClient(timeoutOnly)}, sharedTransport, 3 * time.Second, true},
+		{"client with its own transport", []Option{WithHTTPClient(custom)}, own, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClient("http://localhost:0", tc.opts...)
+			hc := c.cfg.HTTPClient
+			if hc.Transport != tc.wantTransport {
+				t.Errorf("Transport = %T %p, want %T %p", hc.Transport, hc.Transport, tc.wantTransport, tc.wantTransport)
+			}
+			if hc.Timeout != tc.wantTimeout {
+				t.Errorf("Timeout = %v, want %v", hc.Timeout, tc.wantTimeout)
+			}
+			if got := hc.CheckRedirect != nil && errors.Is(hc.CheckRedirect(nil, nil), http.ErrUseLastResponse); got != tc.wantRedirect {
+				t.Errorf("caller's CheckRedirect kept = %v, want %v", got, tc.wantRedirect)
+			}
+			stream := c.streamHTTPClient()
+			if stream.Transport != tc.wantTransport || stream.Timeout != 0 {
+				t.Errorf("stream client: Transport %T %p, Timeout %v; want %T %p and no timeout", stream.Transport, stream.Transport, stream.Timeout, tc.wantTransport, tc.wantTransport)
+			}
+		})
+	}
+	if timeoutOnly.Transport != nil {
+		t.Errorf("the caller's http.Client was mutated: Transport = %T", timeoutOnly.Transport)
+	}
+	if custom.Transport != own {
+		t.Errorf("the caller's own transport was replaced")
+	}
+	if tr := sharedTransport; tr.MaxIdleConnsPerHost != 128 || tr.MaxIdleConns != 0 || tr.MaxConnsPerHost != 0 || tr.IdleConnTimeout != 90*time.Second {
+		t.Errorf("shared transport: MaxIdleConnsPerHost %d, MaxIdleConns %d, MaxConnsPerHost %d, IdleConnTimeout %v; want 128, 0, 0, 90s",
+			tr.MaxIdleConnsPerHost, tr.MaxIdleConns, tr.MaxConnsPerHost, tr.IdleConnTimeout)
+	}
+}
+
+// ownTransport stands in for a caller's own RoundTripper.
+type ownTransport struct{}
+
+func (*ownTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	return nil, errors.New("not dialed")
+}
+
 // TestClientDrainBoundedOnHugeBody: a retryable error with an oversized
 // body must not stall the retry loop reading megabytes of junk — the drain
 // is bounded, at the cost of closing (not reusing) that one connection.

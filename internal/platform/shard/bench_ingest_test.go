@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,35 +45,61 @@ func BenchmarkIngestSharded(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			var wg sync.WaitGroup
-			var idx sync.Mutex
-			next := 0
 			b.ResetTimer()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						idx.Lock()
-						i := next
-						next++
-						idx.Unlock()
-						if i >= b.N {
-							return
-						}
-						account := fmt.Sprintf("w%02d-%06d", w, i)
-						if err := s.Submit(context.Background(), account, 0, -80, at(0)); err != nil {
-							b.Errorf("submit %s: %v", account, err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
+			submitAll(context.Background(), b, s, workers)
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "acked-submits/sec")
 		})
 	}
+}
+
+// BenchmarkIngestShardedHTTP measures acknowledged submits per second
+// over the router's hop: 32 concurrent submitters through a shard.Store
+// whose three shards are durable nodes served over HTTP (group commit
+// with a 2 ms linger and batches of up to 64, as perfbench's fleet runs
+// them), reached through shard clients built as cmd/mcsrouter builds
+// them. conns/1k-acks counts the connections the shards accepted per
+// 1,000 acks: single digits while the router keeps its connections,
+// hundreds when each burst ends by closing them.
+//
+// Run via `make bench-ingest`; rows land in BENCH_ingest.json alongside
+// the other ingest shapes.
+func BenchmarkIngestShardedHTTP(b *testing.B) {
+	const shards, workers = 3, 32
+	backends := make([]platform.Store, shards)
+	counters := make([]*acceptCounter, shards)
+	for i := range backends {
+		store, d, _, err := platform.OpenDurable(b.TempDir(), testTasks(1), platform.DurableOptions{
+			CommitLinger:   2 * time.Millisecond,
+			CommitMaxBatch: 64,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = d.Close() })
+		api := platform.NewServer(store, nil)
+		b.Cleanup(api.Close)
+		srv, l := serveCounted(b, api)
+		counters[i] = l
+		backends[i] = platform.NewRemoteStore(routerShardClient(srv.URL))
+	}
+	s, err := New(context.Background(), backends, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	accepted := func() (n int64) {
+		for _, l := range counters {
+			n += l.accepted.Load()
+		}
+		return n
+	}
+
+	before := accepted()
+	b.ResetTimer()
+	submitAll(context.Background(), b, s, workers)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "acked-submits/sec")
+	b.ReportMetric(float64(accepted()-before)*1000/float64(b.N), "conns/1k-acks")
 }
 
 // BenchmarkIngestDuringReshard measures acknowledged submits per second
@@ -97,32 +124,9 @@ func BenchmarkIngestDuringReshard(b *testing.B) {
 	defer cancel()
 	migDone := make(chan error, 1)
 
-	var wg sync.WaitGroup
-	var idx sync.Mutex
-	next := 0
 	b.ResetTimer()
 	go func() { migDone <- m.Run(ctx) }()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				idx.Lock()
-				i := next
-				next++
-				idx.Unlock()
-				if i >= b.N {
-					return
-				}
-				account := fmt.Sprintf("w%02d-%06d", w, i)
-				if err := s.Submit(ctx, account, 0, -80, at(0)); err != nil {
-					b.Errorf("submit %s: %v", account, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	submitAll(ctx, b, s, workers)
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "acked-submits/sec")
 
@@ -132,4 +136,25 @@ func BenchmarkIngestDuringReshard(b *testing.B) {
 	if err := <-migDone; err != nil && ctx.Err() == nil {
 		b.Fatalf("migration: %v", err)
 	}
+}
+
+// submitAll has workers concurrent submitters share b.N acknowledged
+// submits through s, each to a fresh account.
+func submitAll(ctx context.Context, b *testing.B, s *Store, workers int) {
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+				account := fmt.Sprintf("w%02d-%06d", w, i)
+				if err := s.Submit(ctx, account, 0, -80, at(0)); err != nil {
+					b.Errorf("submit %s: %v", account, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -118,9 +118,10 @@ func (c *Client) watchConnect(ctx context.Context, fromSeq uint64) (*http.Respon
 }
 
 // streamHTTPClient returns an HTTP client suitable for a long-lived
-// stream: the configured client's transport without its overall request
-// timeout, which would otherwise kill every subscription at the timeout
-// mark (the default client carries 10s).
+// stream: the configured client's transport (the shared pooled one
+// unless the caller named its own) without its overall request timeout,
+// which would otherwise kill every subscription at the timeout mark (the
+// default client carries 10s).
 func (c *Client) streamHTTPClient() *http.Client {
 	base := c.cfg.HTTPClient
 	if base.Timeout == 0 {
