@@ -22,11 +22,13 @@ race:
 	$(GO) test -race ./...
 
 # Crash-recovery and fault-injection suite under the race detector: the
-# WAL corruption table, the injected write/fsync failures, and the
+# WAL corruption table, the injected write/fsync failures, the
 # crash-at-every-byte-offset torture test (which strides offsets under
-# -short; this target runs it exhaustively).
+# -short; this target runs it exhaustively), the crash images of a disk
+# whose renames are durable only at a directory sync, and the compaction
+# rule's bounds and the frames a node keeps for followers.
 recovery:
-	$(GO) test -race -run 'WAL|Durable|Recovery|Torture|Crash|Fsync|Snapshot|Scan|Reset|ShortWrite|RoundTrip|OpenRepairs|FailSync|AppendBatch|GroupCommit' ./internal/wal ./internal/platform
+	$(GO) test -race -run 'WAL|Durable|Recovery|Torture|Crash|Fsync|Snapshot|Scan|Reset|ShortWrite|RoundTrip|OpenRepairs|FailSync|AppendBatch|GroupCommit|Compaction|Retained|ExportSince' ./internal/wal ./internal/platform
 
 # Overload-protection and chaos suite under the race detector: the fault
 # injector's campaign (drops, 5xx/429 bursts, torn bodies) with the
@@ -152,13 +154,13 @@ fuzz:
 # Ingestion throughput benchmark: 32 concurrent submitters against a
 # durable store, group commit with no linger vs a 2ms linger vs batched
 # submits; replicated to one follower in async, semi-sync and semi-sync
-# with mcsplatform's compaction defaults (with snapshot ships per 1,000
-# acks); plus the sharded variant routing the same load across 1/2/4
-# durable shards in process, and across three durable shards over HTTP
-# (BenchmarkIngestShardedHTTP, the router hop, with the connections the
-# shards accepted per 1,000 acks). Emits the raw test2json stream to
-# BENCH_ingest.json for trend tracking; the human-readable table goes to
-# stdout as usual.
+# with mcsplatform's compaction defaults (with the primary's compactions
+# and snapshot ships per 1,000 acks); plus the sharded variant routing
+# the same load across 1/2/4 durable shards in process, and across three
+# durable shards over HTTP (BenchmarkIngestShardedHTTP, the router hop,
+# with the connections the shards accepted per 1,000 acks). Emits the raw
+# test2json stream to BENCH_ingest.json for trend tracking; the
+# human-readable table goes to stdout as usual.
 bench-ingest:
 	$(GO) test -run '^$$' -bench BenchmarkIngest -benchtime=2s -json ./internal/platform/... | tee BENCH_ingest.json | \
 		grep -o '"Output":".*acked-submits/sec[^"]*"' | sed 's/"Output":"//;s/\\t/\t/g;s/\\n"//' || true

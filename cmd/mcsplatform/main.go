@@ -9,12 +9,14 @@
 // Sybil-resistant aggregation at POST /v1/aggregate.
 //
 // Durability: with -data-dir, every mutation is appended and fsynced to a
-// write-ahead log before it is acknowledged, and the log is periodically
-// compacted into snapshots (every -snapshot-every records, plus once at
-// shutdown). On startup the directory is recovered — snapshot first, then
-// the WAL tail, truncating any torn or corrupt final record — so a
-// kill -9 or power cut loses nothing that was acknowledged. Without
-// -data-dir the platform is purely in-memory, exactly as before.
+// write-ahead log before it is acknowledged, and the log is compacted
+// into a snapshot once it holds at least -snapshot-every records and is at
+// least as large as the last snapshot (plus once at shutdown), so
+// compaction work stays proportional to the log written. On startup the
+// directory is recovered — snapshot first, then the WAL tail, truncating
+// any torn or corrupt final record — so a kill -9 or power cut loses
+// nothing that was acknowledged. Without -data-dir the platform is purely
+// in-memory, exactly as before.
 //
 // Observability: GET /v1/metrics returns the process metrics registry as
 // JSON (request counters, route latency histograms, framework stage
@@ -93,7 +95,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for the POI layout")
 	maxAccounts := flag.Int("max-accounts", 0, "cap on registered accounts (0 = unlimited)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots); empty = in-memory only")
-	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records between snapshot compactions (with -data-dir); the frames of the last two intervals stay in memory (about 2 x N x 170 B) so followers less than one interval behind catch up without a snapshot")
+	snapshotEvery := flag.Int("snapshot-every", 1024, "the fewest records between compactions, and the frames kept for followers (with -data-dir): the WAL compacts once it holds N records and is at least as large as the last snapshot; the last 2 x N frames stay in memory (at most 3 x N of about 125-170 B) so followers less than 2 x N records behind catch up without a snapshot")
 	commitLinger := flag.Duration("commit-linger", 2*time.Millisecond, "group-commit linger: max extra ack latency while coalescing concurrent WAL fsyncs (0 = fsync as soon as no other is in flight; with -data-dir)")
 	commitBatch := flag.Int("commit-batch", 64, "group-commit fsyncs early once this many records are pending (with -commit-linger)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request read/write timeout (0 disables; slowloris guard)")

@@ -52,12 +52,14 @@ func BenchmarkIngest(b *testing.B) {
 //     record durable, putting a ship round-trip plus a remote fsync on
 //     the ack path.
 //   - semi-sync-compacting: semi-sync with cmd/mcsplatform's defaults, a
-//     compaction every 1024 records, a 2ms linger and a commit batch of
-//     64, so the cost of compaction, and of any snapshot it makes the
-//     primary ship, is in the ack rate. The first two never compact.
+//     compaction once the WAL holds 1024 records and outgrows the last
+//     snapshot, a 2ms linger and a commit batch of 64, so the cost of
+//     compaction, and of any snapshot it makes the primary ship, is in the
+//     ack rate. The first two never compact.
 //
-// Each case also reports the primary's repl.snapshot_ships per 1,000
-// acks. Run via `make bench-ingest` alongside the unreplicated shapes.
+// Each case also reports the primary's compactions (wal.snapshots,
+// snapshot ships included) and repl.snapshot_ships per 1,000 acks. Run
+// via `make bench-ingest` alongside the unreplicated shapes.
 func BenchmarkIngestReplicated(b *testing.B) {
 	const workers = 32
 	groupCommit := DurableOptions{CommitLinger: 2 * time.Millisecond, CommitMaxBatch: 8}
@@ -98,12 +100,13 @@ func benchReplicatedSubmits(b *testing.B, workers int, mode AckMode, opts Durabl
 	}))
 	defer fsrv.Close()
 
+	reg := obs.NewRegistry()
+	opts.Registry = reg
 	store, d, _, err := OpenDurable(b.TempDir(), testTasks(1), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	reg := obs.NewRegistry()
 	repl := NewReplication(store, d, ReplicationOptions{
 		Mode:         mode,
 		Followers:    []string{fsrv.URL},
@@ -139,7 +142,9 @@ func benchReplicatedSubmits(b *testing.B, workers int, mode AckMode, opts Durabl
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "acked-submits/sec")
-	b.ReportMetric(float64(reg.Snapshot().Counters["repl.snapshot_ships"])*1000/float64(b.N), "snapshot-ships/1k-acks")
+	counters := reg.Snapshot().Counters
+	b.ReportMetric(float64(counters["wal.snapshots"])*1000/float64(b.N), "snapshots/1k-acks")
+	b.ReportMetric(float64(counters["repl.snapshot_ships"])*1000/float64(b.N), "snapshot-ships/1k-acks")
 }
 
 // benchConcurrentSubmits drives b.N single submits across `workers`

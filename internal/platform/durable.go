@@ -88,13 +88,18 @@ type DurableOptions struct {
 	// FS is the filesystem seam; nil means the real OS filesystem. Tests
 	// inject a wal.FaultFS here to script crashes.
 	FS wal.FS
-	// SnapshotEvery compacts the WAL into a fresh snapshot after this
-	// many appended records; 0 snapshots only at Close. A node keeps the
-	// payload of every frame since the compaction before last in memory,
-	// so a follower or export tail less than one interval behind catches
-	// up from frames, not a snapshot: about 2 × SnapshotEvery frames of
-	// about 170 bytes (350 KB at 1024). With 0 it keeps every frame since
-	// open, which is the WAL OpenDurable already reads into memory.
+	// SnapshotEvery is the fewest records between compactions, and the
+	// frames kept for followers. A node compacts the WAL into a fresh
+	// snapshot once it has appended at least this many records since the
+	// last compaction and the WAL is at least as large, in bytes, as the
+	// last snapshot, so each compaction, which costs the whole campaign,
+	// is paid for by as many bytes of log. It keeps the payloads of the
+	// last 2 × SnapshotEvery frames in memory (cut back to that whenever
+	// they pass 3 ×), whenever it last compacted, so a follower or export
+	// tail less than that far behind catches up from frames, not a
+	// snapshot: frames of about 125–170 bytes, some 350–520 KB at 1024.
+	// 0 snapshots only at Close and keeps every frame since open, which is
+	// the WAL OpenDurable already reads into memory.
 	SnapshotEvery int
 	// CommitLinger bounds how long a group commit waits for company. Every
 	// mutation is journaled (buffered) and applied under the store lock,
@@ -142,11 +147,11 @@ type RecoveryStats struct {
 }
 
 // Durability journals a Store's mutations into a write-ahead log and
-// periodically compacts the log into snapshots. All methods that touch
-// the WAL run under the owning store's mutex: appendLocked and
-// maybeCompactLocked are called by the store with the lock held, and the
-// public Snapshot/Close take it themselves. The group fsync in
-// waitDurable runs outside it.
+// compacts the log into a snapshot whenever it outgrows the last one. All
+// methods that touch the WAL run under the owning store's mutex:
+// appendLocked and maybeCompactLocked are called by the store with the
+// lock held, and the public Snapshot/Close take it themselves. The group
+// fsync in waitDurable runs outside it.
 type Durability struct {
 	dir           string
 	fs            wal.FS
@@ -155,7 +160,7 @@ type Durability struct {
 	seq           uint64 // sequence number of the last frame written
 	sinceSnapshot int
 	snapshotEvery int
-	snapshotSize  int // the last snapshot's length, to size the next one's buffer
+	snapshotSize  int // the last snapshot's length: the WAL size the next compaction waits for
 	gc            *groupCommit
 	reg           *obs.Registry
 	log           *log.Logger
@@ -164,16 +169,15 @@ type Durability struct {
 	// Replication bookkeeping (all guarded by the store mutex like seq).
 	// epoch is the replication epoch persisted in the snapshot envelope.
 	// frames holds the payloads of the frames (seq-len(frames), seq],
-	// which framesSince serves from memory: the first prevLen are the
-	// generation the last compaction dropped from the WAL file, the rest
-	// are in it. Payloads are never mutated once appended, so they are
-	// shared with the frames framesSince returns. repl is the attached
+	// which framesSince serves from memory: at most the last
+	// 3 × snapshotEvery, cut back to 2 × (see keepFramesLocked), whether
+	// or not a compaction has dropped them from the WAL file. Payloads are never mutated once appended, so they
+	// are shared with the frames framesSince returns. repl is the attached
 	// replication manager (nil on an unreplicated node); it is set once by
 	// NewReplication before the store is shared.
-	epoch   uint64
-	frames  [][]byte
-	prevLen int
-	repl    *Replication
+	epoch  uint64
+	frames [][]byte
+	repl   *Replication
 }
 
 // commitToken identifies journaled mutations by the sequence number of
@@ -329,8 +333,9 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 
 	store := NewLocalStore(tasks)
 	var seq, epoch uint64
+	var snapshotSize int64
 	snapPath := filepath.Join(dir, snapshotFileName)
-	if _, err := fsys.Stat(snapPath); err == nil {
+	if info, err := fsys.Stat(snapPath); err == nil {
 		snap, ds, err := readSnapshot(fsys, snapPath)
 		if err != nil {
 			return nil, nil, stats, fmt.Errorf("platform: snapshot %s: %w", snapPath, err)
@@ -339,6 +344,7 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 		store.resetFenceLocked(snap.Fence, snap.FenceVersion) // store not shared yet
 		seq = snap.Seq
 		epoch = snap.Epoch
+		snapshotSize = info.Size()
 		stats.SnapshotLoaded = true
 		stats.SnapshotSeq = snap.Seq
 	}
@@ -353,7 +359,7 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 		stats.CorruptReason = scan.Corrupt.Error()
 	}
 
-	var frames [][]byte // the records after the snapshot: the first generation
+	var frames [][]byte // the records after the snapshot
 	for i, payload := range scan.Records {
 		var rec walRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
@@ -391,11 +397,14 @@ func OpenDurable(dir string, tasks []mcs.Task, opts DurableOptions) (*LocalStore
 		store:         store,
 		seq:           seq,
 		epoch:         epoch,
+		sinceSnapshot: stats.WALRecords, // the WAL's records count toward the next compaction
 		snapshotEvery: opts.SnapshotEvery,
+		snapshotSize:  int(snapshotSize),
 		reg:           reg,
 		log:           opts.Logger,
 		frames:        frames,
 	}
+	d.keepFramesLocked()
 	d.gc = newGroupCommit(opts.CommitLinger, opts.CommitMaxBatch)
 	d.gc.markDurable(seq) // everything recovered from disk is durable
 	store.journal = d
@@ -556,6 +565,7 @@ func (d *Durability) appendLocked(recs []walRecord) (commitToken, error) {
 	}
 	d.seq += uint64(len(recs))
 	d.frames = append(d.frames, payloads...)
+	d.keepFramesLocked()
 	d.sinceSnapshot += len(recs)
 	d.reg.Histogram("wal.batch_size").Observe(float64(len(recs)))
 	d.reg.Counter("wal.records").Add(int64(len(recs)))
@@ -585,13 +595,32 @@ func (d *Durability) waitDurable(tok commitToken) error {
 	return nil
 }
 
-// maybeCompactLocked snapshots and resets the WAL once SnapshotEvery
-// records have accumulated. Called with the store mutex held, after the
-// journaled mutation has been applied (the snapshot must contain it). A
-// failed compaction is operational, not data loss — every record is
-// still in the WAL — so it is logged and retried an interval later.
+// keepFramesLocked bounds the frames kept in memory: once they pass
+// 3 × SnapshotEvery, only the last 2 × SnapshotEvery stay, so the bound
+// is paid for by a copy of 2N references every N records. Caller holds
+// the store mutex (or owns the store before it is shared).
+func (d *Durability) keepFramesLocked() {
+	n := d.snapshotEvery
+	if n <= 0 || len(d.frames) <= 3*n {
+		return
+	}
+	kept := copy(d.frames, d.frames[len(d.frames)-2*n:])
+	clear(d.frames[kept:])
+	d.frames = d.frames[:kept]
+}
+
+// maybeCompactLocked snapshots and resets the WAL once it holds at least
+// SnapshotEvery records and at least as many bytes as the last snapshot:
+// a compaction costs the whole campaign, and this way it is paid once per
+// campaign's worth of log, so the bytes compactions write stay within the
+// log bytes appended plus the latest snapshot (Raft's rule, Ongaro &
+// Ousterhout, USENIX ATC 2014, §7). Called with the store mutex held,
+// after the journaled mutation has been applied (the snapshot must
+// contain it). A failed compaction is operational, not data loss — every
+// record is still in the WAL — so it is logged and retried SnapshotEvery
+// records later.
 func (d *Durability) maybeCompactLocked() {
-	if d.snapshotEvery <= 0 || d.sinceSnapshot < d.snapshotEvery {
+	if d.snapshotEvery <= 0 || d.sinceSnapshot < d.snapshotEvery || d.w.Size() < int64(d.snapshotSize) {
 		return
 	}
 	if _, err := d.snapshotLocked(); err != nil {
@@ -614,11 +643,11 @@ func (d *Durability) Snapshot() error {
 }
 
 // snapshotLocked compacts: it writes the snapshot (temp file, fsync,
-// atomic rename), then resets the WAL, whose frames become the retained
-// previous generation. It returns the snapshot's dataset bytes. Crash
-// windows: before the rename, the old snapshot + full WAL still recover
-// everything; after the rename but before the reset, recovery skips the
-// WAL records the snapshot already covers by sequence number.
+// atomic rename, directory fsync), then resets the WAL. The frames kept
+// in memory are untouched. It returns the snapshot's dataset bytes.
+// Crash windows: before the rename is durable, the old snapshot + full
+// WAL still recover everything; after it but before the reset, recovery
+// skips the WAL records the snapshot already covers by sequence number.
 func (d *Durability) snapshotLocked() ([]byte, error) { return d.compactLocked(false) }
 
 // compactLocked is snapshotLocked, or with adopt the persisting of a
@@ -627,7 +656,10 @@ func (d *Durability) snapshotLocked() ([]byte, error) { return d.compactLocked(f
 // and recovery would replay its records past the adopted seq on top of
 // the adopted state, under the new epoch. A crash between the two leaves
 // the previous snapshot, an empty WAL and the old epoch, so the primary
-// ships a snapshot again.
+// ships a snapshot again. Either way the directory is fsynced after the
+// rename: POSIX makes a rename durable only then, and a WAL reset (or,
+// after an adoption, the frames the follower appends next) on top of the
+// previous snapshot would lose acknowledged records.
 func (d *Durability) compactLocked(adopt bool) ([]byte, error) {
 	sw := d.reg.Timer("wal.snapshot_seconds").Start()
 	defer sw.Stop()
@@ -635,7 +667,6 @@ func (d *Durability) compactLocked(adopt bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.snapshotSize = len(env)
 	tmp := filepath.Join(d.dir, snapshotTempName)
 	f, err := d.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -660,24 +691,42 @@ func (d *Durability) compactLocked(adopt bool) ([]byte, error) {
 	if err := d.fs.Rename(tmp, filepath.Join(d.dir, snapshotFileName)); err != nil {
 		return nil, err
 	}
+	if err := d.syncDir(); err != nil {
+		return nil, err
+	}
 	if !adopt {
 		if err := d.w.Reset(); err != nil {
 			return nil, fmt.Errorf("wal reset: %w", err)
 		}
-		clear(d.frames[:d.prevLen]) // the generation before last
-		d.frames = d.frames[d.prevLen:]
-		d.prevLen = len(d.frames)
 	}
+	d.snapshotSize = len(env)
 	d.sinceSnapshot = 0
 	// The snapshot holds the full state through d.seq on stable storage,
 	// so every record appended so far is durable — release any
 	// group-commit waiters without an extra WAL fsync.
 	d.gc.markDurable(d.seq)
 	d.reg.Counter("wal.snapshots").Inc()
+	d.reg.Counter("wal.snapshot_bytes").Add(int64(len(env)))
 	d.reg.Gauge("wal.size_bytes").Set(0)
 	d.logf("durability: snapshot written (seq %d, epoch %d)", d.seq, d.epoch)
 	d.notifyDurable()
 	return data, nil
+}
+
+// syncDir fsyncs the data directory, which makes a rename in it durable.
+func (d *Durability) syncDir() error {
+	f, err := d.fs.OpenFile(d.dir, os.O_RDONLY, 0)
+	if err != nil {
+		return fmt.Errorf("open dir: %w", err)
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("sync dir: %w", err)
+	}
+	return nil
 }
 
 // encodeSnapshotLocked encodes the snapshot envelope, byte-identical to
@@ -818,12 +867,11 @@ func (d *Durability) persistEpoch(epoch uint64) error {
 }
 
 // framesSince exports the durable frames in (from, from+max], CRC-stamped
-// for the wire, from the two retained generations. The bool result
-// reports that from precedes them (the range was compacted away more than
-// one generation ago, or before this node opened or adopted a snapshot):
-// the caller must ship a snapshot reset instead of frames. Only the
-// payload references are copied under the store lock; the CRCs are
-// computed outside it.
+// for the wire, from the frames kept in memory. The bool result reports
+// that from precedes them (more than 2 × SnapshotEvery records back, or
+// before this node opened or adopted a snapshot): the caller must ship a
+// snapshot reset instead of frames. Only the payload references are
+// copied under the store lock; the CRCs are computed outside it.
 func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error) {
 	d.store.mu.RLock()
 	if d.closed {
@@ -858,14 +906,14 @@ func (d *Durability) framesSince(from uint64, max int) ([]ReplFrame, bool, error
 // already replaced the in-memory store). The group-commit marks are
 // forced to the new seq — which may be LOWER than before on a diverged
 // rejoiner — so the follower's durable high-water mark tracks the adopted
-// history, not the abandoned one. Both retained generations are dropped:
-// their frames belong to that abandoned history and must never ship.
-// Caller holds the store mutex.
+// history, not the abandoned one. The frames kept are dropped: they
+// belong to that abandoned history and must never ship. Caller holds the
+// store mutex.
 func (d *Durability) adoptSnapshotLocked(seq, epoch uint64) error {
 	d.seq = seq
 	d.epoch = epoch
 	clear(d.frames)
-	d.frames, d.prevLen = d.frames[:0], 0
+	d.frames = d.frames[:0]
 	d.gc.mu.Lock()
 	d.gc.synced = seq
 	d.gc.appended = seq
@@ -908,6 +956,7 @@ func (d *Durability) appendReplicatedLocked(frames []ReplFrame) error {
 	}
 	d.seq = frames[len(frames)-1].Seq
 	d.frames = append(d.frames, payloads...)
+	d.keepFramesLocked()
 	d.sinceSnapshot += len(frames)
 	d.reg.Counter("wal.records").Add(int64(len(frames)))
 	d.reg.Gauge("wal.size_bytes").Set(d.w.Size())

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	iofs "io/fs"
 	"log"
 	"math"
@@ -468,34 +469,58 @@ func TestFsyncFailureFailsClosed(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompaction checks periodic snapshots shrink the WAL and
+// TestSnapshotCompaction checks that the WAL compacts exactly when it
+// holds SnapshotEvery records and as many bytes as the last snapshot, and
 // that snapshot + tail replay reassembles the full campaign.
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	store, d, _, err := OpenDurable(dir, testTasks(3), DurableOptions{SnapshotEvery: 5, Registry: reg})
+	const every = 5
+	store, d, _, err := OpenDurable(dir, testTasks(3), DurableOptions{SnapshotEvery: every, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ops := campaignScript()
-	for _, op := range ops {
+	var compactions int64
+	since, snapSize := 0, int64(0)
+	for i, op := range ops {
+		before := d.WALSize()
 		if err := applyOp(store, op); err != nil {
 			t.Fatal(err)
 		}
+		store.mu.RLock()
+		frame := int64(wal.HeaderSize + len(d.frames[len(d.frames)-1]))
+		size, lastSnap := d.w.Size(), int64(d.snapshotSize)
+		store.mu.RUnlock()
+		since++
+		if since >= every && before+frame >= snapSize {
+			compactions, since, snapSize = compactions+1, 0, lastSnap
+			if size != 0 {
+				t.Errorf("op %d: %d records and %d WAL bytes against a %d-byte snapshot, but the WAL holds %d bytes, want a compaction",
+					i, every, before+frame, snapSize, size)
+			}
+		} else if size != before+frame {
+			t.Errorf("op %d: WAL %d → %d bytes for a %d-byte frame, want no compaction", i, before, size, frame)
+		}
+		if got := reg.Snapshot().Counters["wal.snapshots"]; got != compactions {
+			t.Fatalf("op %d: wal.snapshots = %d, want %d", i, got, compactions)
+		}
 	}
-	if got := reg.Snapshot().Counters["wal.snapshots"]; got != int64(len(ops)/5) {
-		t.Errorf("wal.snapshots = %d, want %d", got, len(ops)/5)
+	// The first compaction comes after 5 records, when there is no
+	// snapshot yet; the campaign grows past the byte rule at least once
+	// more, and leaves a tail that the last snapshot bounds.
+	if compactions < 2 {
+		t.Errorf("%d compactions over the campaign, want at least 2", compactions)
 	}
-	// 16 ops with a snapshot every 5 leaves one record in the tail.
-	if size := d.WALSize(); size == 0 || size > 600 {
-		t.Errorf("WAL size after compaction = %d, want a small nonzero tail", size)
+	if size := d.WALSize(); size == 0 || size > snapSize {
+		t.Errorf("WAL size after compaction = %d, want a nonzero tail below the %d-byte snapshot", size, snapSize)
 	}
 	want := signature(t, store)
 	if err := d.w.Close(); err != nil { // crash-style stop: no final snapshot
 		t.Fatal(err)
 	}
 
-	store2, d2, stats, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+	store2, d2, stats, err := OpenDurable(dir, testTasks(3), DurableOptions{SnapshotEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,9 +528,117 @@ func TestSnapshotCompaction(t *testing.T) {
 	if !stats.SnapshotLoaded || stats.SnapshotSeq == 0 {
 		t.Errorf("snapshot not used: %+v", stats)
 	}
+	// The reopened node picks the rule up where the crash left it: the
+	// last snapshot's size, and the WAL's records since it.
+	if int64(d2.snapshotSize) != snapSize || d2.sinceSnapshot != since {
+		t.Errorf("reopened: snapshot %d bytes and %d records since, want %d and %d", d2.snapshotSize, d2.sinceSnapshot, snapSize, since)
+	}
 	if got := signature(t, store2); got != want {
 		t.Error("snapshot + WAL tail did not reassemble the campaign")
 	}
+}
+
+// TestCompactionIsAmortized grows a store in envelopes of 16 reports, ten
+// per account as in perfbench's campaign, and checks the bounds of the
+// compaction rule after every commit:
+//   - the WAL never holds more than the larger of the last snapshot and
+//     SnapshotEvery−1 records, plus the commit just made;
+//   - the bytes compactions wrote never exceed the WAL bytes appended plus
+//     the latest snapshot, so under twice the WAL bytes plus the empty
+//     campaign's snapshot;
+//   - the frames kept never exceed 3 × SnapshotEvery, and cover the last
+//     2 × SnapshotEvery records.
+//
+// Over the run each doubling of the store adds at most three compactions,
+// and at sampled commits a copy of the disk reopens to the live store.
+func TestCompactionIsAmortized(t *testing.T) {
+	const (
+		every    = 32
+		envelope = 16
+		commits  = 1200 // 19,200 reports
+		tasks    = 10
+	)
+	empty := newMemFS()
+	_, d0, _, err := OpenDurable("node", testTasks(tasks), DurableOptions{FS: empty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	emptySnap := int64(d0.snapshotSize)
+
+	fsys := newMemFS()
+	reg := obs.NewRegistry()
+	store, d, _, err := OpenDurable("node", testTasks(tasks), DurableOptions{FS: fsys, SnapshotEvery: every, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	var walBytes, snapBytes, maxFrame, compactions int64
+	atPower := map[int]int64{} // compactions once the store holds a power of two envelopes
+	for c := 0; c < commits; c++ {
+		items := make([]BatchSubmission, envelope)
+		for i := range items {
+			r := c*envelope + i
+			items[i] = BatchSubmission{Account: fmt.Sprintf("acct-%05d", r/tasks), Task: r % tasks,
+				Value: -60 - float64(r%37)*0.75, At: at(r % 600)}
+		}
+		for i, err := range store.SubmitBatch(ctx, items) {
+			if err != nil {
+				t.Fatalf("commit %d item %d: %v", c, i, err)
+			}
+		}
+		store.mu.RLock()
+		size, snap, kept, seq := d.w.Size(), int64(d.snapshotSize), len(d.frames), d.seq
+		var batch int64
+		for _, p := range d.frames[kept-envelope:] {
+			frame := int64(wal.HeaderSize + len(p))
+			batch += frame
+			maxFrame = max(maxFrame, frame)
+		}
+		store.mu.RUnlock()
+		walBytes += batch
+		if n := counterVal(reg, "wal.snapshots"); n != compactions {
+			if n != compactions+1 || size != 0 {
+				t.Fatalf("commit %d: %d compactions after %d, WAL %d bytes", c, n, compactions, size)
+			}
+			compactions, snapBytes = n, snapBytes+snap
+		}
+		if size > max(snap, (every-1)*maxFrame)+batch {
+			t.Fatalf("commit %d: WAL %d bytes, over the %d-byte snapshot and %d records of up to %d bytes, plus the %d-byte commit",
+				c, size, snap, every-1, maxFrame, batch)
+		}
+		if snapBytes > walBytes+snap || snapBytes > 2*walBytes+emptySnap {
+			t.Fatalf("commit %d: compactions wrote %d bytes for %d WAL bytes (latest snapshot %d)", c, snapBytes, walBytes, snap)
+		}
+		if kept > 3*every || uint64(kept) < min(seq, 2*every) {
+			t.Fatalf("commit %d: %d frames kept through seq %d, want from %d to %d", c, kept, seq, min(seq, 2*every), 3*every)
+		}
+		if n := c + 1; n&(n-1) == 0 {
+			atPower[n] = compactions
+		}
+		if c%97 == 0 {
+			got, d2, _, err := OpenDurable("node", testTasks(tasks), DurableOptions{FS: fsys.clone()})
+			if err != nil {
+				t.Fatalf("commit %d: reopen: %v", c, err)
+			}
+			if signature(t, got) != signature(t, store) {
+				t.Fatalf("commit %d: the reopened store differs from the live one", c)
+			}
+			_ = d2.Abort()
+		}
+	}
+	if got := counterVal(reg, "wal.snapshot_bytes"); got != snapBytes {
+		t.Errorf("wal.snapshot_bytes = %d, want %d", got, snapBytes)
+	}
+	for n := 32; 2*n <= commits; n *= 2 {
+		if added := atPower[2*n] - atPower[n]; added > 3 {
+			t.Errorf("%d compactions from %d to %d envelopes, want at most 3 per doubling", added, n, 2*n)
+		}
+	}
+	t.Logf("%d compactions, %d snapshot bytes for %d WAL bytes (%.2f×)", compactions, snapBytes, walBytes, float64(snapBytes)/float64(walBytes))
 }
 
 // TestCrashBetweenSnapshotAndWALReset covers the compaction crash window:
@@ -555,16 +688,7 @@ type imagingFS struct {
 	images []*memFS
 }
 
-func (f *imagingFS) image() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	img := newMemFS()
-	for name, data := range f.files {
-		b := append([]byte(nil), *data...)
-		img.files[name] = &b
-	}
-	f.images = append(f.images, img)
-}
+func (f *imagingFS) image() { f.images = append(f.images, f.clone()) }
 
 func (f *imagingFS) Rename(oldpath, newpath string) error {
 	f.image()
@@ -582,7 +706,7 @@ func (f *imagingFS) OpenFile(name string, flag int, perm iofs.FileMode) (wal.Fil
 // imagingFile images its filesystem before each truncate.
 type imagingFile struct {
 	wal.File
-	fs *imagingFS
+	fs interface{ image() }
 }
 
 func (f imagingFile) Truncate(size int64) error {
@@ -658,6 +782,197 @@ func TestCrashWhileAdoptingSnapshot(t *testing.T) {
 	}
 }
 
+// dirSyncFS is a memFS on which a rename reaches the disk only at the next
+// sync of a directory, all that POSIX promises: the disk a power cut
+// leaves is the live files with every rename since then undone (file
+// contents, which memFS keeps at once, stay). It images that disk before
+// every rename, truncate and directory sync, and on demand, each with the
+// acks given by then.
+type dirSyncFS struct {
+	*memFS
+	pending []renamed // since the last directory sync, oldest first
+	acked   int
+	images  []ackedImage
+}
+
+// renamed is one rename the disk may not hold yet: the file that moved,
+// and what its new name held before (nil if nothing).
+type renamed struct {
+	from, to        string
+	moved, replaced *[]byte
+}
+
+// ackedImage is a disk a crash could leave, and the acks given before it.
+type ackedImage struct {
+	fs    *memFS
+	acked int
+}
+
+func (f *dirSyncFS) image() {
+	img := f.clone()
+	f.mu.Lock()
+	for i := len(f.pending) - 1; i >= 0; i-- {
+		r := f.pending[i]
+		moved := append([]byte(nil), *r.moved...)
+		img.files[r.from] = &moved
+		delete(img.files, r.to)
+		if r.replaced != nil {
+			replaced := append([]byte(nil), *r.replaced...)
+			img.files[r.to] = &replaced
+		}
+	}
+	f.mu.Unlock()
+	f.images = append(f.images, ackedImage{img, f.acked})
+}
+
+func (f *dirSyncFS) Rename(oldpath, newpath string) error {
+	f.image()
+	f.mu.Lock()
+	r := renamed{from: oldpath, to: newpath, moved: f.files[oldpath], replaced: f.files[newpath]}
+	f.mu.Unlock()
+	if err := f.memFS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	f.pending = append(f.pending, r)
+	return nil
+}
+
+func (f *dirSyncFS) OpenFile(name string, flag int, perm iofs.FileMode) (wal.File, error) {
+	file, err := f.memFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	if _, dir := file.(memDir); dir {
+		return syncedDir{file, f}, nil
+	}
+	return imagingFile{file, f}, nil
+}
+
+// syncedDir is a directory of a dirSyncFS: syncing it makes every rename
+// so far durable.
+type syncedDir struct {
+	wal.File
+	fs *dirSyncFS
+}
+
+func (d syncedDir) Sync() error {
+	d.fs.image()
+	d.fs.pending = nil
+	return d.File.Sync()
+}
+
+// TestCrashBeforeDirectorySyncLosesNoAck: where a rename is durable only
+// once its directory is synced, a crash at any step must still recover
+// every acknowledged record. A compaction that reset the WAL before the
+// snapshot's rename was durable would leave the previous snapshot and an
+// empty log; an adoption whose rename was not durable would replay the
+// frames the follower acked next on top of the previous snapshot.
+func TestCrashBeforeDirectorySyncLosesNoAck(t *testing.T) {
+	ctx := context.Background()
+	t.Run("compaction", func(t *testing.T) {
+		ops := campaignScript()
+		sigs := prefixSignatures(t, ops)
+		fsys := &dirSyncFS{memFS: newMemFS()}
+		store, d, _, err := OpenDurable("node", testTasks(3), DurableOptions{FS: fsys, SnapshotEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, op := range ops {
+			fsys.acked = i
+			if err := applyOp(store, op); err != nil {
+				t.Fatal(err)
+			}
+			if i%5 == 4 {
+				fsys.acked = i + 1
+				if err := d.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fsys.acked = len(ops)
+		fsys.image()
+		if len(fsys.images) < 8 {
+			t.Fatalf("%d crash points, want one before every rename and WAL reset", len(fsys.images))
+		}
+		for i, img := range fsys.images {
+			got, d2, _, err := OpenDurable("node", testTasks(3), DurableOptions{FS: img.fs})
+			if err != nil {
+				t.Fatalf("crash point %d: reopen: %v", i, err)
+			}
+			sig := signature(t, got)
+			r := len(sigs) - 1
+			for r >= 0 && sigs[r] != sig {
+				r--
+			}
+			if r < img.acked {
+				t.Errorf("crash point %d: recovered %d ops (-1: no prefix), %d were acknowledged", i, r, img.acked)
+			}
+			_ = d2.Abort()
+		}
+	})
+	t.Run("adoption", func(t *testing.T) {
+		adopted := NewLocalStore(testTasks(3))
+		var sigs []string // sigs[k]: the adopted lineage through seq 2+k
+		for i := 0; i < 4; i++ {
+			if i >= 2 {
+				sigs = append(sigs, signature(t, adopted))
+			}
+			if err := adopted.Submit(ctx, fmt.Sprintf("new-%d", i), 0, float64(i), at(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sigs = append(sigs, signature(t, adopted))
+		var frames []ReplFrame // seqs 3 and 4: new-2 and new-3
+		for i := 2; i < 4; i++ {
+			p, err := json.Marshal(walRecord{Seq: uint64(i + 1), Op: opSubmit, Account: fmt.Sprintf("new-%d", i), Value: float64(i), Time: at(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, ReplFrame{Seq: uint64(i + 1), CRC: crc32.ChecksumIEEE(p), Payload: p})
+		}
+
+		fsys := &dirSyncFS{memFS: newMemFS()}
+		store, d, _, err := OpenDurable("node", testTasks(3), DurableOptions{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if err := store.Submit(ctx, fmt.Sprintf("old-%d", i), 0, float64(i), at(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := NewReplication(store, d, ReplicationOptions{FollowerOf: "x", Registry: obs.NewRegistry()})
+		defer r.Close()
+		fsys.images, fsys.acked = nil, -1 // until the adoption is acked, the old history may come back
+		if _, err := r.ApplyShip(ctx, ReplShipRequest{Epoch: 1, PrimarySeq: 2, Snapshot: []byte(sigs[0]), SnapshotSeq: 2}); err != nil {
+			t.Fatal(err)
+		}
+		fsys.acked = 0
+		fsys.image()
+		if resp, err := r.ApplyShip(ctx, ReplShipRequest{Epoch: 1, PrimarySeq: 4, Frames: frames}); err != nil || resp.AppliedSeq != 4 {
+			t.Fatalf("frames after the adoption: applied through %d, %v", resp.AppliedSeq, err)
+		}
+		fsys.acked = len(frames)
+		fsys.image()
+		for i, img := range fsys.images {
+			got, d2, _, err := OpenDurable("node", testTasks(3), DurableOptions{FS: img.fs})
+			if err != nil {
+				t.Fatalf("crash point %d: reopen: %v", i, err)
+			}
+			seq, epoch, sig := d2.seq, d2.epoch, signature(t, got)
+			switch {
+			case epoch == 1 && seq >= 2 && seq <= 4 && sig == sigs[seq-2] && int(seq-2) >= img.acked:
+			case epoch == 0 && img.acked < 0 && uint64(got.NumAccounts()) == seq && !strings.Contains(sig, "new-"):
+				// The adoption did not reach the disk: a prefix of the
+				// history it abandons, which the primary replaces again.
+			default:
+				t.Errorf("crash point %d (%d acked): recovered seq %d, epoch %d, %d accounts", i, img.acked, seq, epoch, got.NumAccounts())
+			}
+			_ = d2.Abort()
+		}
+	})
+}
+
 // TestSnapshotEnvelopeIsByteIdentical: snapshot.json is exactly what
 // json.Marshal writes for the envelope with the dataset indented inside
 // it, as earlier versions wrote it, fence and epoch included.
@@ -720,12 +1035,23 @@ func TestWALMetricsExported(t *testing.T) {
 	if _, ok := snap.Gauges["wal.size_bytes"]; !ok {
 		t.Error("wal.size_bytes gauge missing")
 	}
+	// wal.snapshot_bytes adds what each compaction writes.
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["wal.snapshot_bytes"] - snap.Counters["wal.snapshot_bytes"]; snap.Counters["wal.snapshot_bytes"] == 0 || got != info.Size() {
+		t.Errorf("wal.snapshot_bytes rose by %d for a %d-byte snapshot (from %d)", got, info.Size(), snap.Counters["wal.snapshot_bytes"])
+	}
 
 	var prom bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"wal_append_seconds", "wal_fsync_seconds", "wal_snapshots"} {
+	for _, name := range []string{"wal_append_seconds", "wal_fsync_seconds", "wal_snapshots", "wal_snapshot_bytes"} {
 		if !strings.Contains(prom.String(), name) {
 			t.Errorf("prometheus export missing %s", name)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path"
 	"sync"
+	"syscall"
 	"time"
 
 	"sybiltd/internal/wal"
@@ -13,14 +14,31 @@ import (
 
 // memFS is an in-memory wal.FS for tests that open a log many times, such
 // as FuzzDurableRecovery: a file is a byte slice shared by its open
-// handles, Sync does nothing, and nothing crashes. Directories are implied
-// by file names, so MkdirAll succeeds without recording anything.
+// handles, Sync does nothing, and nothing crashes. MkdirAll records a
+// directory and its parents, which OpenFile then opens as a memDir, for
+// Sync alone; file names imply nothing.
 type memFS struct {
 	mu    sync.Mutex
 	files map[string]*[]byte
+	dirs  map[string]bool
 }
 
-func newMemFS() *memFS { return &memFS{files: make(map[string]*[]byte)} }
+func newMemFS() *memFS { return &memFS{files: make(map[string]*[]byte), dirs: make(map[string]bool)} }
+
+// clone copies every file and directory: the disk as it stands.
+func (m *memFS) clone() *memFS {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := newMemFS()
+	for name, data := range m.files {
+		b := append([]byte(nil), *data...)
+		c.files[name] = &b
+	}
+	for name := range m.dirs {
+		c.dirs[name] = true
+	}
+	return c
+}
 
 func notExist(op, name string) error {
 	return &iofs.PathError{Op: op, Path: name, Err: iofs.ErrNotExist}
@@ -29,6 +47,9 @@ func notExist(op, name string) error {
 func (m *memFS) OpenFile(name string, flag int, _ iofs.FileMode) (wal.File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.dirs[path.Clean(name)] {
+		return memDir{}, nil
+	}
 	data, ok := m.files[name]
 	if !ok {
 		if flag&os.O_CREATE == 0 {
@@ -75,7 +96,14 @@ func (m *memFS) Stat(name string) (iofs.FileInfo, error) {
 	return memInfo{name: path.Base(name), size: int64(len(*data))}, nil
 }
 
-func (m *memFS) MkdirAll(string, iofs.FileMode) error { return nil }
+func (m *memFS) MkdirAll(dir string, _ iofs.FileMode) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for dir = path.Clean(dir); dir != "." && dir != "/" && !m.dirs[dir]; dir = path.Dir(dir) {
+		m.dirs[dir] = true
+	}
+	return nil
+}
 
 // memFile is one open handle: a shared byte slice and its own offset.
 type memFile struct {
@@ -135,6 +163,19 @@ func (f *memFile) Truncate(size int64) error {
 
 func (f *memFile) Sync() error  { return nil }
 func (f *memFile) Close() error { return nil }
+
+// memDir is an open memFS directory: it syncs and closes, and refuses to
+// be read, written or truncated.
+type memDir struct{}
+
+func errIsDir(op string) error { return &iofs.PathError{Op: op, Err: syscall.EISDIR} }
+
+func (memDir) Read([]byte) (int, error)       { return 0, errIsDir("read") }
+func (memDir) Write([]byte) (int, error)      { return 0, errIsDir("write") }
+func (memDir) Seek(int64, int) (int64, error) { return 0, errIsDir("seek") }
+func (memDir) Truncate(int64) error           { return errIsDir("truncate") }
+func (memDir) Sync() error                    { return nil }
+func (memDir) Close() error                   { return nil }
 
 // memInfo is the iofs.FileInfo of a memFS file.
 type memInfo struct {

@@ -37,10 +37,11 @@ func heldClient(release <-chan struct{}, held *atomic.Int32) func(string) *Clien
 // the last sequence number. Caller holds the store mutex.
 func (d *Durability) retainedLocked() (int, uint64) { return len(d.frames), d.seq }
 
-// catchUpAfterHeldShips runs a semi-sync primary (a compaction every 8
-// records) whose ships to its one follower are held back while it takes
-// envelopes of 12 reports, each crossing one compaction, then releases
-// them and waits until every envelope is acked and the follower holds the
+// catchUpAfterHeldShips runs a semi-sync primary (SnapshotEvery 8: it
+// keeps the last 16 frames, cut back to that whenever they pass 24) whose
+// ships to its one follower are held back while it takes envelopes of 12
+// reports, each followed by a forced compaction, then releases them and
+// waits until every envelope is acked and the follower holds the
 // primary's history and dataset.
 func catchUpAfterHeldShips(t *testing.T, envelopes int) (primary, follower *replNode) {
 	t.Helper()
@@ -74,9 +75,15 @@ func catchUpAfterHeldShips(t *testing.T, envelopes int) (primary, follower *repl
 			}
 			acked <- nil
 		}(e)
-		waitFor(t, 5*time.Second, "the envelope's compaction", func() bool {
-			return primary.d.durableSeq() == uint64(12*(e+1)) && primary.d.WALSize() == 0
+		waitFor(t, 5*time.Second, "the envelope's fsync", func() bool {
+			return primary.d.durableSeq() == uint64(12*(e+1))
 		})
+		if err := primary.d.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if size := primary.d.WALSize(); size != 0 {
+			t.Fatalf("WAL holds %d bytes after a compaction", size)
+		}
 	}
 	close(release)
 	for e := 0; e < envelopes; e++ {
@@ -94,12 +101,13 @@ func catchUpAfterHeldShips(t *testing.T, envelopes int) (primary, follower *repl
 }
 
 // TestSemiSyncFollowerOneCompactionBehindCatchesUpFromFrames: a follower
-// whose ships were held back across one compaction catches up from the
-// retained generation, with no snapshot ship.
+// whose ships were held back across its primary's compactions (the rule's
+// at seq 12, with no snapshot yet, and the forced one), 12 records behind,
+// catches up from the frames kept in memory, with no snapshot ship.
 func TestSemiSyncFollowerOneCompactionBehindCatchesUpFromFrames(t *testing.T) {
 	primary, follower := catchUpAfterHeldShips(t, 1)
 	if n := counterVal(primary.reg, "repl.snapshot_ships"); n != 0 {
-		t.Errorf("repl.snapshot_ships = %d, want 0 (frames from the retained generation)", n)
+		t.Errorf("repl.snapshot_ships = %d, want 0 (frames kept in memory)", n)
 	}
 	if n := counterVal(follower.reg, "repl.snapshot_resets"); n != 0 {
 		t.Errorf("follower snapshot resets = %d, want 0", n)
@@ -109,10 +117,17 @@ func TestSemiSyncFollowerOneCompactionBehindCatchesUpFromFrames(t *testing.T) {
 	}
 }
 
-// TestFollowerTwoGenerationsBehindGetsSnapshot: a follower more than one
-// generation behind gets a snapshot and converges.
+// TestFollowerTwoGenerationsBehindGetsSnapshot: a follower further behind
+// than the frames its primary keeps (36 records, three compactions, where
+// the primary keeps the last 16 to 24) gets a snapshot and converges.
 func TestFollowerTwoGenerationsBehindGetsSnapshot(t *testing.T) {
-	primary, follower := catchUpAfterHeldShips(t, 2)
+	primary, follower := catchUpAfterHeldShips(t, 3)
+	primary.store.mu.RLock()
+	kept, seq := primary.d.retainedLocked()
+	primary.store.mu.RUnlock()
+	if kept >= int(seq) {
+		t.Fatalf("the primary keeps all %d frames, want fewer than the %d appended", kept, seq)
+	}
 	if n := counterVal(primary.reg, "repl.snapshot_ships"); n != 1 {
 		t.Errorf("repl.snapshot_ships = %d, want 1", n)
 	}
@@ -199,12 +214,13 @@ func TestAdoptedSnapshotShipsNoAbandonedFrames(t *testing.T) {
 	}
 }
 
-// TestExportSinceAcrossOneCompaction: a migration tail one compaction
-// behind reads records from the retained generation; one more than a
-// generation behind is told to re-seed.
+// TestExportSinceAcrossOneCompaction: a migration tail that compactions
+// have overtaken reads records from the frames kept in memory; one further
+// back than the last 2 × SnapshotEvery is told to re-seed.
 func TestExportSinceAcrossOneCompaction(t *testing.T) {
 	ctx := context.Background()
-	store, d, _, err := OpenDurable(t.TempDir(), testTasks(3), DurableOptions{SnapshotEvery: 4})
+	reg := obs.NewRegistry()
+	store, d, _, err := OpenDurable(t.TempDir(), testTasks(3), DurableOptions{SnapshotEvery: 4, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,64 +232,84 @@ func TestExportSinceAcrossOneCompaction(t *testing.T) {
 			}
 		}
 	}
-	submit(0, 6) // compaction at seq 4
+	submit(0, 6) // the rule compacts at seq 4, with no snapshot yet
+	if n := counterVal(reg, "wal.snapshots"); n != 1 {
+		t.Fatalf("wal.snapshots = %d after 6 records, want 1", n)
+	}
 	b, err := store.ExportSince(ctx, 0, 0)
 	if err != nil || b.SnapshotNeeded || len(b.Records) != 6 || b.NextSeq != 6 {
 		t.Fatalf("ExportSince(0) across one compaction = %d records, next %d, snapshot_needed %v, err %v; want 6 records",
 			len(b.Records), b.NextSeq, b.SnapshotNeeded, err)
 	}
-	submit(6, 10) // compaction at seq 8: seqs 5–8 retained, 1–4 gone
-	if b, err := store.ExportSince(ctx, 0, 0); err != nil || !b.SnapshotNeeded {
-		t.Fatalf("ExportSince(0) two compactions back = %+v, %v; want snapshot_needed", b, err)
+	if err := d.Snapshot(); err != nil { // seqs 1–6 are in no WAL now
+		t.Fatal(err)
 	}
-	b, err = store.ExportSince(ctx, 4, 3)
-	if err != nil || b.SnapshotNeeded || len(b.Records) != 3 || b.Records[0].Seq != 5 || b.NextSeq != 7 {
-		t.Fatalf("ExportSince(4, 3) = %+v, %v; want seqs 5–7", b, err)
+	if b, err := store.ExportSince(ctx, 0, 0); err != nil || b.SnapshotNeeded || len(b.Records) != 6 {
+		t.Fatalf("ExportSince(0) across two compactions = %+v, %v; want 6 records", b, err)
+	}
+	submit(6, 13) // 13 frames pass 3 × 4: the last 8, seqs 6–13, stay
+	if b, err := store.ExportSince(ctx, 4, 0); err != nil || !b.SnapshotNeeded {
+		t.Fatalf("ExportSince(4) behind the frames kept = %+v, %v; want snapshot_needed", b, err)
+	}
+	b, err = store.ExportSince(ctx, 5, 3)
+	if err != nil || b.SnapshotNeeded || len(b.Records) != 3 || b.Records[0].Seq != 6 || b.NextSeq != 8 {
+		t.Fatalf("ExportSince(5, 3) = %+v, %v; want seqs 6–8", b, err)
 	}
 }
 
-// TestRetainedFramesStayWithinTwoGenerations pins the memory bound: after
-// any number of compactions a node holds the frames since the compaction
-// before last, and a reopened node only what it read back from its WAL.
+// TestRetainedFramesStayWithinTwoGenerations pins the memory bound: a node
+// keeps the last 2 × SnapshotEvery frames, cut back to that whenever they
+// pass 3 ×, however often it compacts, and a reopened node keeps as many
+// of the frames it read back from its WAL.
 func TestRetainedFramesStayWithinTwoGenerations(t *testing.T) {
 	ctx := context.Background()
+	const every = 5
+	submit := func(store *LocalStore, from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			if err := store.Submit(ctx, fmt.Sprintf("a%02d", i), i%3, float64(i), at(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	store, d, _, err := OpenDurable(dir, testTasks(3), DurableOptions{SnapshotEvery: 5, Registry: reg})
+	store, d, _, err := OpenDurable(dir, testTasks(3), DurableOptions{SnapshotEvery: every, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := 0
 	for i := 1; i <= 23; i++ {
-		if err := store.Submit(ctx, fmt.Sprintf("a%02d", i), i%3, float64(i), at(i)); err != nil {
-			t.Fatal(err)
+		submit(store, i, i)
+		if i%4 == 0 { // compactions change nothing in memory
+			if err := d.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want++; want > 3*every {
+			want = 2 * every
 		}
 		store.mu.RLock()
 		n, seq := d.retainedLocked()
 		store.mu.RUnlock()
-		// Generations end at seqs 5, 10, 15, 20: the frames kept are
-		// those after the compaction before last.
-		want := int(seq)
-		if seq >= 10 {
-			want = int(seq - (seq/5-1)*5)
-		}
-		if n != want || n > 2*5 {
+		if n != want || n > 3*every || n < min(int(seq), 2*every) {
 			t.Fatalf("after seq %d: %d frames retained, want %d", seq, n, want)
 		}
 	}
-	if got := counterVal(reg, "wal.snapshots"); got != 4 {
-		t.Fatalf("wal.snapshots = %d, want 4", got)
+	if got := counterVal(reg, "wal.snapshots"); got != 5 {
+		t.Fatalf("wal.snapshots = %d, want 5", got)
 	}
-	if frames, need, err := d.framesSince(15, 0); err != nil || need || len(frames) != 8 || frames[7].Seq != 23 {
-		t.Fatalf("framesSince(15) = %d frames, snapshot needed %v, err %v; want seqs 16–23", len(frames), need, err)
+	if frames, need, err := d.framesSince(12, 0); err != nil || need || len(frames) != 11 || frames[10].Seq != 23 {
+		t.Fatalf("framesSince(12) = %d frames, snapshot needed %v, err %v; want seqs 13–23", len(frames), need, err)
 	}
-	if _, need, _ := d.framesSince(14, 0); !need {
-		t.Fatal("framesSince(14) served frames older than two generations")
+	if _, need, _ := d.framesSince(11, 0); !need {
+		t.Fatal("framesSince(11) served frames the node no longer keeps")
 	}
 	if err := d.Abort(); err != nil { // crash-style stop: no final snapshot
 		t.Fatal(err)
 	}
 	// Reopened, the node holds only its WAL: seqs 21–23.
-	_, d2, _, err := OpenDurable(dir, testTasks(3), DurableOptions{})
+	_, d2, _, err := OpenDurable(dir, testTasks(3), DurableOptions{SnapshotEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +319,27 @@ func TestRetainedFramesStayWithinTwoGenerations(t *testing.T) {
 	}
 	if frames, need, err := d2.framesSince(20, 0); err != nil || need || len(frames) != 3 || frames[0].Seq != 21 {
 		t.Fatalf("reopened framesSince(20) = %d frames, snapshot needed %v, err %v; want seqs 21–23", len(frames), need, err)
+	}
+
+	// A WAL of 23 records, never compacted, reopens to the last 10.
+	dir = t.TempDir()
+	store, d, _, err = OpenDurable(dir, testTasks(3), DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit(store, 1, 23)
+	if err := d.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	_, d3, _, err := OpenDurable(dir, testTasks(3), DurableOptions{SnapshotEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if frames, need, err := d3.framesSince(13, 0); err != nil || need || len(frames) != 10 || frames[0].Seq != 14 {
+		t.Fatalf("reopened long WAL: framesSince(13) = %d frames, snapshot needed %v, err %v; want seqs 14–23", len(frames), need, err)
+	}
+	if _, need, _ := d3.framesSince(12, 0); !need {
+		t.Fatal("reopened long WAL: served more than the last 2 × SnapshotEvery frames")
 	}
 }
